@@ -29,13 +29,16 @@ import (
 //     observed support times the distinct (a, n) keys, never by the
 //     round count.
 //
-// Every estimator accumulates sparsely (sparse.go) and exposes the same
-// contract to the shared disclosure harness: an ascending candidate
-// support that contains every strictly positive estimate coordinate,
-// and a pointwise estimate. That contract is exactly what topK and the
-// anonymity entropy need to reproduce their dense formulations
-// bit-for-bit (sda_ref_test.go extends the dense-reference property to
-// the new accumulators).
+// Every estimator accumulates its round statistics sparsely (sparse.go);
+// the classic and least-squares estimates are evaluated pointwise from
+// those accumulators, while the ML estimator fits its estimate into
+// dense recipient-indexed arrays. All three expose the same contract
+// to the shared disclosure harness: an ascending candidate support that
+// contains every strictly positive estimate coordinate, and a pointwise
+// estimate. That contract is exactly what topK and the anonymity
+// entropy need to reproduce their dense formulations bit-for-bit
+// (sda_ref_test.go extends the dense-reference property to the new
+// accumulators).
 
 // EstimatorKind selects the statistical-disclosure estimator.
 type EstimatorKind int
@@ -94,13 +97,14 @@ type estimator interface {
 	restore(ts *TargetEstimatorState, nrcpt int) error
 }
 
-// newEstimator builds the estimator for one target.
-func newEstimator(k EstimatorKind) estimator {
+// newEstimator builds the estimator for one target over nrcpt
+// recipients.
+func newEstimator(k EstimatorKind, nrcpt int) estimator {
 	switch k {
 	case EstimatorLeastSquares:
 		return &lsEstimator{}
 	case EstimatorML:
-		return &mlEstimator{}
+		return newMLEstimator(nrcpt)
 	default:
 		return &classicEstimator{}
 	}
@@ -316,17 +320,32 @@ type mlGroup struct {
 }
 
 // mlEstimator is the iterative ML (EM) estimator for the round mixture
-// model. Memory is O(distinct (a, n) keys × observed support); the
-// estimate p (and the background q it is jointly fitted with) is
-// refreshed lazily at checkpoint boundaries.
+// model. The grouped statistics cost O(distinct (a, n) keys × observed
+// support); the target estimate p, the background q it is jointly
+// fitted with, and their M-step scratch are dense arrays indexed by
+// recipient, sized once from the recipient count, so a refresh reads
+// and writes coordinates directly. The estimate is recomputed by the
+// first ready() after an observe: once per checkpoint without dummies,
+// but about once per round per target under adaptive dummies, whose
+// suspects() reads it every round (DESIGN.md has the cost model).
 type mlEstimator struct {
 	groups   []mlGroup // ascending by (a, n)
 	nWith    int
 	nWithout int
 	dirty    bool
-	p        sparseVec // target estimate over the with-round support
-	q        sparseVec // background estimate over the full support
-	tp, tq   []float64 // M-step scratch aligned with p.idx / q.idx
+	sup      []int32   // ascending recipients with a positive initial p
+	p, q     []float64 // target and background estimates by recipient
+	tp, tq   []float64 // M-step scratch by recipient
+}
+
+// newMLEstimator sizes the dense estimate arrays for nrcpt recipients.
+func newMLEstimator(nrcpt int) *mlEstimator {
+	return &mlEstimator{
+		p:  make([]float64, nrcpt),
+		q:  make([]float64, nrcpt),
+		tp: make([]float64, nrcpt),
+		tq: make([]float64, nrcpt),
+	}
 }
 
 // group locates or inserts the (a, n) group, keeping the slice sorted.
@@ -374,79 +393,64 @@ func (m *mlEstimator) ready() bool {
 // deliveries, then run mlEMIters E+M sweeps. Initializing q from every
 // round keeps q positive on the whole observed support, so every
 // E-step denominator a·p[r] + b·q[r] is positive wherever y[r] > 0.
+//
+// The floats equal those of an EM over sparse p and q restricted to
+// their observed supports (estimator_ref_test.go keeps that form as
+// the oracle): the initial counts are integer-valued, the E-step visits
+// groups in (a, n) order and entries in ascending recipient order, and
+// every coordinate outside a support holds exactly +0, which adds
+// nothing to the M-step sums.
 func (m *mlEstimator) refresh() {
-	m.p.idx, m.p.val = m.p.idx[:0], m.p.val[:0]
-	m.q.idx, m.q.val = m.q.idx[:0], m.q.val[:0]
+	p, q, tp, tq := m.p, m.q, m.tp, m.tq
+	clear(p)
+	clear(q)
 	for gi := range m.groups {
 		g := &m.groups[gi]
 		for k, r := range g.y.idx {
-			m.q.add(r, g.y.val[k])
+			q[r] += g.y.val[k]
 			if g.a > 0 {
-				m.p.add(r, g.y.val[k])
+				p[r] += g.y.val[k]
 			}
 		}
 	}
-	normalizeVec(&m.p)
-	normalizeVec(&m.q)
-	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
+	m.sup = m.sup[:0]
+	for r, v := range p {
+		if v > 0 {
+			m.sup = append(m.sup, int32(r))
+		}
+	}
+	normalize(p)
+	normalize(q)
+	if len(m.sup) == 0 {
 		return
 	}
-	m.tp = growZero(m.tp, len(m.p.idx))
-	m.tq = growZero(m.tq, len(m.q.idx))
 	for iter := 0; iter < mlEMIters; iter++ {
-		for i := range m.tp {
-			m.tp[i] = 0
-		}
-		for i := range m.tq {
-			m.tq[i] = 0
-		}
+		clear(tp)
+		clear(tq)
 		for gi := range m.groups {
 			g := &m.groups[gi]
 			a, b := float64(g.a), float64(g.n-g.a)
 			for k, r := range g.y.idx {
 				y := g.y.val[k]
-				qi, _ := m.q.find(r) // q spans the full support
-				var pv float64
-				pi, pok := m.p.find(r)
-				if pok {
-					pv = m.p.val[pi]
-				}
-				den := a*pv + b*m.q.val[qi]
+				den := a*p[r] + b*q[r]
 				if den <= 0 {
 					continue
 				}
 				// E-step: expected target-origin mass of the y deliveries.
-				w := a * pv / den
-				if pok {
-					m.tp[pi] += y * w
-				}
-				m.tq[qi] += y * (1 - w)
+				w := a * p[r] / den
+				tp[r] += y * w
+				tq[r] += y * (1 - w)
 			}
 		}
 		// M-step: renormalize both components.
-		var sp, sq float64
-		for _, v := range m.tp {
-			sp += v
-		}
-		for _, v := range m.tq {
-			sq += v
-		}
-		if sp > 0 {
-			for i := range m.tp {
-				m.p.val[i] = m.tp[i] / sp
-			}
-		}
-		if sq > 0 {
-			for i := range m.tq {
-				m.q.val[i] = m.tq[i] / sq
-			}
-		}
+		rescaleInto(p, tp)
+		rescaleInto(q, tq)
 	}
 }
 
-func (m *mlEstimator) support() []int32 { return m.p.idx }
+func (m *mlEstimator) support() []int32 { return m.sup }
 
-func (m *mlEstimator) estimateAt(i int32) float64 { return m.p.get(i) }
+func (m *mlEstimator) estimateAt(i int32) float64 { return m.p[i] }
 
 func (m *mlEstimator) snapshot(ts *TargetEstimatorState) {
 	ts.NWith = m.nWith
@@ -500,26 +504,33 @@ func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 	return nil
 }
 
-// normalizeVec scales a non-negative sparse vector to unit sum in place
-// (no-op on a zero vector).
-func normalizeVec(v *sparseVec) {
+// normalize scales a non-negative vector to unit sum in place (no-op
+// on a zero vector).
+func normalize(v []float64) {
 	var total float64
-	for _, x := range v.val {
+	for _, x := range v {
 		total += x
 	}
 	if total <= 0 {
 		return
 	}
 	inv := 1 / total
-	for i := range v.val {
-		v.val[i] *= inv
+	for i := range v {
+		v[i] *= inv
 	}
 }
 
-// growZero returns s resized to n elements without preserving contents.
-func growZero(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// rescaleInto writes t normalized to unit sum into dst, leaving dst
+// unchanged when t sums to zero.
+func rescaleInto(dst, t []float64) {
+	var total float64
+	for _, x := range t {
+		total += x
 	}
-	return s[:n]
+	if total <= 0 {
+		return
+	}
+	for i, x := range t {
+		dst[i] = x / total
+	}
 }

@@ -1,8 +1,12 @@
 package population
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"linkpad/internal/xrand"
 )
 
 // estimator_ref_test.go: closed-form references for the arms-race
@@ -11,7 +15,8 @@ import (
 // equations by a different algorithm, and bit-identically with a dense
 // mirror of its own accumulators; the ML estimator's EM refresh must
 // agree with a reference EM whose E-step is the exhaustive Bayesian
-// posterior enumerated over all 2^n per-message origin assignments.
+// posterior enumerated over all 2^n per-message origin assignments,
+// and bit-identically with the sparse-support EM it replaced.
 
 // collectRounds drives an engine for R rounds through the threshold mix
 // and records each round's egress (recipients) and per-target ingress
@@ -21,7 +26,7 @@ type recordedRound struct {
 	cnt   int // the target's send count
 }
 
-func collectTargetRounds(t *testing.T, e *Engine, target int32, batch, rounds int) []recordedRound {
+func collectTargetRounds(t testing.TB, e *Engine, target int32, batch, rounds int) []recordedRound {
 	t.Helper()
 	var r Round
 	out := make([]recordedRound, 0, rounds)
@@ -41,9 +46,9 @@ func collectTargetRounds(t *testing.T, e *Engine, target int32, batch, rounds in
 }
 
 // feedEstimator folds the recorded rounds into a fresh estimator of the
-// given kind, exactly as disclosure.observe would.
-func feedEstimator(k EstimatorKind, rounds []recordedRound) estimator {
-	est := newEstimator(k)
+// given kind over nrcpt recipients, exactly as disclosure.observe would.
+func feedEstimator(k EstimatorKind, nrcpt int, rounds []recordedRound) estimator {
+	est := newEstimator(k, nrcpt)
 	var r Round
 	for _, rec := range rounds {
 		r.Rcpts = rec.rcpts
@@ -95,7 +100,7 @@ func TestLeastSquaresMatchesGaussianOracle(t *testing.T) {
 			e.SetWorkers(1)
 			target := int32(tc.n / 2)
 			rounds := collectTargetRounds(t, e, target, tc.batch, tc.rounds)
-			est := feedEstimator(EstimatorLeastSquares, rounds)
+			est := feedEstimator(EstimatorLeastSquares, tc.recipients, rounds)
 			if !est.ready() {
 				t.Fatal("least-squares estimator not ready after the recorded rounds")
 			}
@@ -146,7 +151,7 @@ func TestLSSparseMatchesDenseBitIdentical(t *testing.T) {
 	e.SetWorkers(1)
 	target := int32(n / 3)
 	recs := collectTargetRounds(t, e, target, batch, rounds)
-	est := feedEstimator(EstimatorLeastSquares, recs).(*lsEstimator)
+	est := feedEstimator(EstimatorLeastSquares, recipients, recs).(*lsEstimator)
 
 	// Dense mirror: the same per-delivery additions in the same order.
 	var saa, sab, sbb float64
@@ -252,7 +257,7 @@ func TestMLRefreshMatchesExhaustivePosteriorEM(t *testing.T) {
 			t.Fatalf("round carries %d messages; the exhaustive oracle needs n <= 8", len(rec.rcpts))
 		}
 	}
-	est := feedEstimator(EstimatorML, recs).(*mlEstimator)
+	est := feedEstimator(EstimatorML, recipients, recs).(*mlEstimator)
 	if !est.ready() {
 		t.Fatal("ML estimator not ready after the recorded rounds")
 	}
@@ -318,15 +323,7 @@ func TestMLRefreshMatchesExhaustivePosteriorEM(t *testing.T) {
 		}
 	}
 	// EM must improve (or hold) the exact likelihood over its initializer.
-	final := make([]float64, recipients)
-	finalQ := make([]float64, recipients)
-	for k, i := range est.p.idx {
-		final[i] = est.p.val[k]
-	}
-	for k, i := range est.q.idx {
-		finalQ[i] = est.q.val[k]
-	}
-	if got := logLik(final, finalQ); got < initLik-1e-9 {
+	if got := logLik(est.p, est.q); got < initLik-1e-9 {
 		t.Fatalf("EM decreased the log-likelihood: init %v, after refresh %v", initLik, got)
 	}
 }
@@ -343,8 +340,8 @@ func TestMLGroupingIsExact(t *testing.T) {
 	}
 	e.SetWorkers(1)
 	recs := collectTargetRounds(t, e, 5, batch, rounds)
-	fwd := feedEstimator(EstimatorML, recs).(*mlEstimator)
-	rev := newEstimator(EstimatorML).(*mlEstimator)
+	fwd := feedEstimator(EstimatorML, recipients, recs).(*mlEstimator)
+	rev := newEstimator(EstimatorML, recipients).(*mlEstimator)
 	var r Round
 	for i := len(recs) - 1; i >= 0; i-- {
 		r.Rcpts = recs[i].rcpts
@@ -377,5 +374,228 @@ func TestMLGroupingIsExact(t *testing.T) {
 	}
 	if totalRounds != float64(rounds) {
 		t.Fatalf("groups account for %v rounds, want %d", totalRounds, rounds)
+	}
+}
+
+// sparseMLRef is the ML refresh in its sparse form, kept only as the
+// bit-identity oracle for mlEstimator.refresh: p and q are sparse
+// vectors over the with-round and full observed supports, the M-step
+// scratch is aligned with their coordinate lists, and every E-step
+// lookup binary-searches them.
+type sparseMLRef struct {
+	p, q   sparseVec
+	tp, tq []float64
+}
+
+func (m *sparseMLRef) refresh(groups []mlGroup) {
+	m.p.idx, m.p.val = m.p.idx[:0], m.p.val[:0]
+	m.q.idx, m.q.val = m.q.idx[:0], m.q.val[:0]
+	for gi := range groups {
+		g := &groups[gi]
+		for k, r := range g.y.idx {
+			m.q.add(r, g.y.val[k])
+			if g.a > 0 {
+				m.p.add(r, g.y.val[k])
+			}
+		}
+	}
+	normalizeSparse(&m.p)
+	normalizeSparse(&m.q)
+	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
+		return
+	}
+	m.tp = make([]float64, len(m.p.idx))
+	m.tq = make([]float64, len(m.q.idx))
+	for iter := 0; iter < mlEMIters; iter++ {
+		for i := range m.tp {
+			m.tp[i] = 0
+		}
+		for i := range m.tq {
+			m.tq[i] = 0
+		}
+		for gi := range groups {
+			g := &groups[gi]
+			a, b := float64(g.a), float64(g.n-g.a)
+			for k, r := range g.y.idx {
+				y := g.y.val[k]
+				qi, _ := m.q.find(r) // q spans the full support
+				var pv float64
+				pi, pok := m.p.find(r)
+				if pok {
+					pv = m.p.val[pi]
+				}
+				den := a*pv + b*m.q.val[qi]
+				if den <= 0 {
+					continue
+				}
+				w := a * pv / den
+				if pok {
+					m.tp[pi] += y * w
+				}
+				m.tq[qi] += y * (1 - w)
+			}
+		}
+		var sp, sq float64
+		for _, v := range m.tp {
+			sp += v
+		}
+		for _, v := range m.tq {
+			sq += v
+		}
+		if sp > 0 {
+			for i := range m.tp {
+				m.p.val[i] = m.tp[i] / sp
+			}
+		}
+		if sq > 0 {
+			for i := range m.tq {
+				m.q.val[i] = m.tq[i] / sq
+			}
+		}
+	}
+}
+
+// normalizeSparse scales a non-negative sparse vector to unit sum in
+// place (no-op on a zero vector).
+func normalizeSparse(v *sparseVec) {
+	var total float64
+	for _, x := range v.val {
+		total += x
+	}
+	if total <= 0 {
+		return
+	}
+	inv := 1 / total
+	for i := range v.val {
+		v.val[i] *= inv
+	}
+}
+
+// syntheticMLRounds draws an ML observation stream from seed: each
+// round carries n ∈ [1, maxN] messages; half the rounds are without the
+// target (a = 0), the rest have a ∈ [1, n] target messages, so groups
+// with no background (a = n) occur too. Target messages go to the first
+// `contacts` recipients, the rest uniformly anywhere in [0, nrcpt).
+func syntheticMLRounds(seed uint64, rounds, maxN, contacts, nrcpt int) []recordedRound {
+	rng := xrand.New(seed)
+	out := make([]recordedRound, rounds)
+	for i := range out {
+		n := 1 + rng.Intn(maxN)
+		a := 0
+		if rng.Bernoulli(0.5) {
+			a = 1 + rng.Intn(n)
+		}
+		rcpts := make([]int32, n)
+		for k := range rcpts {
+			if k < a {
+				rcpts[k] = int32(rng.Intn(contacts))
+			} else {
+				rcpts[k] = int32(rng.Intn(nrcpt))
+			}
+		}
+		out[i] = recordedRound{rcpts: rcpts, cnt: a}
+	}
+	return out
+}
+
+// requireMLMatchesSparseRef refreshes est and the sparse oracle over the
+// same groups and demands bit-identical supports, p and q at every
+// recipient.
+func requireMLMatchesSparseRef(t *testing.T, est *mlEstimator, nrcpt int, at string) {
+	t.Helper()
+	if !est.ready() {
+		return
+	}
+	var ref sparseMLRef
+	ref.refresh(est.groups)
+	if !slices.Equal(est.support(), ref.p.idx) {
+		t.Fatalf("%s: support %v, sparse oracle %v", at, est.support(), ref.p.idx)
+	}
+	for i := int32(0); int(i) < nrcpt; i++ {
+		if got, want := est.estimateAt(i), ref.p.get(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: p[%d] = %v, sparse oracle %v", at, i, got, want)
+		}
+		if got, want := est.q[i], ref.q.get(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: q[%d] = %v, sparse oracle %v", at, i, got, want)
+		}
+	}
+}
+
+// TestMLDenseRefreshMatchesSparseReference: the dense ML refresh must
+// reproduce the sparse-support EM bit for bit — same support, same
+// float at every p and q coordinate — at checkpoints throughout a run,
+// on engine streams and on seeded synthetic streams, and across a
+// mid-run snapshot/restore, whose continuation must also equal the
+// uninterrupted estimator exactly.
+func TestMLDenseRefreshMatchesSparseReference(t *testing.T) {
+	type geometry struct {
+		name   string
+		nrcpt  int
+		rounds []recordedRound
+	}
+	var geoms []geometry
+	for _, tc := range []struct {
+		name              string
+		n, nrcpt, batch   int
+		cover             bool
+		target, numRounds int
+	}{
+		{"arms-race", 24, 60, 48, true, 7, 240},
+		{"no-cover", 12, 40, 8, false, 3, 240},
+		{"sparse-n64", 64, 800, 32, false, 20, 200},
+	} {
+		e, err := NewEngine(refUsers(t, tc.n, tc.nrcpt, tc.cover, false), tc.nrcpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetWorkers(1)
+		geoms = append(geoms, geometry{tc.name, tc.nrcpt,
+			collectTargetRounds(t, e, int32(tc.target), tc.batch, tc.numRounds)})
+	}
+	for _, seed := range []uint64{0x6d6c0001, 0x6d6c0002, 0x6d6c0003} {
+		t.Logf("synthetic stream seed %#x", seed)
+		geoms = append(geoms, geometry{
+			name:   "synthetic",
+			nrcpt:  50,
+			rounds: syntheticMLRounds(seed, 240, 12, 4, 50),
+		})
+	}
+	for _, g := range geoms {
+		label := func(i int) string { return fmt.Sprintf("%s after round %d", g.name, i+1) }
+		est := newEstimator(EstimatorML, g.nrcpt).(*mlEstimator)
+		var resumed *mlEstimator
+		var r Round
+		checks := 0
+		for i, rec := range g.rounds {
+			r.Rcpts = rec.rcpts
+			est.observe(&r, rec.cnt > 0, rec.cnt)
+			if resumed != nil {
+				resumed.observe(&r, rec.cnt > 0, rec.cnt)
+			}
+			if i%20 != 19 {
+				continue
+			}
+			requireMLMatchesSparseRef(t, est, g.nrcpt, label(i))
+			if est.ready() {
+				checks++
+			}
+			if resumed != nil {
+				requireMLMatchesSparseRef(t, resumed, g.nrcpt, "resumed "+label(i))
+				if !slices.Equal(resumed.support(), est.support()) || !slices.Equal(resumed.p, est.p) {
+					t.Fatalf("%s: resumed estimate differs from the uninterrupted one", label(i))
+				}
+			}
+			if i == len(g.rounds)/2-1 {
+				var ts TargetEstimatorState
+				est.snapshot(&ts)
+				resumed = newEstimator(EstimatorML, g.nrcpt).(*mlEstimator)
+				if err := resumed.restore(&ts, g.nrcpt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if checks < 5 {
+			t.Fatalf("%s: only %d checkpoints had an estimate; the comparison is vacuous", g.name, checks)
+		}
 	}
 }

@@ -264,7 +264,7 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 		d.targets[i] = targetState{
 			user:     int32(u),
 			contacts: cs,
-			est:      newEstimator(cfg.Estimator),
+			est:      newEstimator(cfg.Estimator, e.nrcpt),
 		}
 		if cfg.ChurnAware {
 			d.targets[i].presence = e.PresenceOf(u)

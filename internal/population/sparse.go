@@ -4,11 +4,14 @@ import "sort"
 
 // sparseVec is a sorted-coordinate sparse vector over a recipient space:
 // parallel (index, value) slices with idx strictly ascending. The SDA
-// estimators and the flow-correlation fingerprints accumulate into
-// these instead of dense length-R arrays, so a million-recipient space
-// costs each accumulator only its support — for an SDA target that is
-// the recipients actually delivered in observed rounds, for a flow
-// fingerprint the non-empty rate bins.
+// estimators' round accumulators (the classic conditional sums, the
+// least-squares right-hand sides, the ML estimator's per-(a, n) egress
+// counts) and the flow-correlation fingerprints accumulate into these
+// instead of dense length-R arrays, so a million-recipient space costs
+// each accumulator only its support — for an SDA target that is the
+// recipients actually delivered in observed rounds, for a flow
+// fingerprint the non-empty rate bins. The ML estimate itself is dense
+// (estimator.go): it is refit from the accumulators, not accumulated.
 //
 // All values are exact: the estimator entries are event counts (integer-
 // valued float64s, exact below 2^53), so sparse accumulation is not an
