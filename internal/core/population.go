@@ -207,30 +207,39 @@ func (spec PopulationSpec) coverPPS(payload float64) float64 {
 // private message source (the system's payload model at its class rate),
 // an optional cover source, and a recipient profile, all derived from
 // (seed, class, userID) role streams in the population domain. The
-// engine materializes users lazily — the builder below is a pure
-// function of the user index, so users hold no resident state until the
-// simulation horizon first reaches one of their arrivals.
+// engine materializes users lazily — both functions below are pure in
+// the user index. Construction reads only the arrival sources; the full
+// user is built, with its sources from the same arrivals function, when
+// the simulation horizon first reaches one of its arrivals.
 func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) {
 	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
 	cum := s.classCum(spec.ClassMix)
-	build := func(u int) (population.User, error) {
+	arrivals := func(u int) (traffic.Source, traffic.Source, error) {
 		class := classOf(u, spec.Users, cum)
-		pps := s.cfg.Rates[class].PPS
 		payload, err := s.payloadSource(class,
 			xrand.New(s.streamSeed(class, populationStreamID(u, popRolePayload))))
 		if err != nil {
-			return population.User{}, err
+			return nil, nil, err
 		}
-		var cover traffic.Source
-		if c := spec.coverPPS(pps); c > 0 {
-			cover, err = traffic.NewPoisson(c,
-				xrand.New(s.streamSeed(class, populationStreamID(u, popRoleCover))))
-			if err != nil {
-				return population.User{}, err
-			}
+		c := spec.coverPPS(s.cfg.Rates[class].PPS)
+		if c <= 0 {
+			return payload, nil, nil
+		}
+		cover, err := traffic.NewPoisson(c,
+			xrand.New(s.streamSeed(class, populationStreamID(u, popRoleCover))))
+		if err != nil {
+			return nil, nil, err
+		}
+		return payload, cover, nil
+	}
+	build := func(u int) (population.User, error) {
+		class := classOf(u, spec.Users, cum)
+		payload, cover, err := arrivals(u)
+		if err != nil {
+			return population.User{}, err
 		}
 		prng := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleProfile)))
 		profile, err := population.NewProfile(spec.Recipients, spec.Contacts, spec.ContactWeight, prng)
@@ -253,7 +262,7 @@ func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) 
 			Presence: presence,
 		}, nil
 	}
-	return population.NewLazyEngine(spec.Users, spec.Recipients, build)
+	return population.NewLazyEngine(spec.Users, spec.Recipients, arrivals, build)
 }
 
 // presenceSchedule builds user u's churn presence schedule from its

@@ -150,7 +150,11 @@ func TestPopulationClassMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < spec.Users; u++ {
-		if eng.Class(u) != classOf(u, spec.Users, cum) {
+		class, err := eng.Class(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if class != classOf(u, spec.Users, cum) {
 			t.Fatalf("engine class of user %d disagrees with striping", u)
 		}
 	}

@@ -115,13 +115,14 @@ func ExtSDAArmsRace(o Options) (*Table, error) {
 
 // scaleSDALSCells proves the least-squares estimator at the engine's
 // design point: the same million-user population, batch and round
-// budget as scale-disclosure, but with the sparse least-squares
-// accumulators in place of the classic conditional means. The estimator
-// adds two sparse right-hand-side vectors per target — Say touches only
-// the rounds the target actually exits in (~1/1000 of rounds at B=1024,
-// N=1e6), Sby costs what the classic without-sum did — so resident
+// budget as scale-disclosure, but with the least-squares accumulators
+// in place of the classic conditional means. The estimator holds two
+// dense right-hand-side vectors per target (2 × 80 KB at 10^4
+// recipients, the same as the classic conditional sums), so resident
 // memory stays frontier-dominated and the cells must fit the same RSS
 // ceiling scale-disclosure gates in CI (make scale-smoke runs both).
+// The table title and note still name the sparse accumulators this
+// replaced; they are kept so the table stays byte-identical.
 // Like scale-disclosure, disclosed_frac 0 at scale is the expected
 // (negative) reading; the cells gate throughput and memory.
 var scaleSDALSCells = &cellExperiment{

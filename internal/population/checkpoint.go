@@ -20,7 +20,7 @@ import (
 // frontier is exactly what a fresh engine's init pass recomputes, so
 // cold users serialize to nothing at all), the unconsumed remainder of
 // the merged event stream, and (for a disclosure run) the per-target
-// sparse estimator accumulators. Resuming a snapshot on a freshly
+// estimator accumulators, stored as their non-zero coordinates. Resuming a snapshot on a freshly
 // rebuilt, identically configured engine continues the run
 // byte-identically to one that was never interrupted; the
 // kill-and-resume tests enforce this at randomized kill points.

@@ -325,4 +325,12 @@ func TestResumeDisclosureValidates(t *testing.T) {
 	if _, err := buildEngine(t, 12, false).ResumeDisclosure(cfg, &unsorted); err == nil {
 		t.Error("snapshot with non-ascending estimator coordinates resumed")
 	}
+	zero := *st
+	zero.Targets = append([]TargetEstimatorState(nil), st.Targets...)
+	zw := &zero.Targets[0].SumWithout
+	zw.Val = append([]float64(nil), zw.Val...)
+	zw.Val[0] = 0
+	if _, err := buildEngine(t, 12, false).ResumeDisclosure(cfg, &zero); err == nil {
+		t.Error("snapshot with an explicit zero count resumed")
+	}
 }

@@ -29,16 +29,20 @@ import (
 //     observed support times the distinct (a, n) keys, never by the
 //     round count.
 //
-// Every estimator accumulates its round statistics sparsely (sparse.go);
-// the classic and least-squares estimates are evaluated pointwise from
-// those accumulators, while the ML estimator fits its estimate into
-// dense recipient-indexed arrays. All three expose the same contract
-// to the shared disclosure harness: an ascending candidate support that
-// contains every strictly positive estimate coordinate, and a pointwise
-// estimate. That contract is exactly what topK and the anonymity
-// entropy need to reproduce their dense formulations bit-for-bit
-// (sda_ref_test.go extends the dense-reference property to the new
-// accumulators).
+// All three estimators keep their per-recipient state in dense
+// recipient-indexed arrays, sized once from the recipient count (the
+// largest recipient space any runner uses is 10^4, so one array per
+// accumulator costs at most 80 KB a target): the classic conditional
+// sums, the least-squares right-hand sides, and the ML estimate with
+// its M-step scratch. A delivery is one array update, with no search.
+// Only the ML estimator's per-(a, n) egress counts stay sparse
+// (sparse.go), since they multiply with the number of distinct keys.
+// All three expose the same contract to the shared disclosure harness:
+// an ascending candidate support that contains every strictly positive
+// estimate coordinate, and a pointwise estimate. That contract is
+// exactly what topK and the anonymity entropy need to reproduce their
+// dense-sweep formulations bit-for-bit (sda_ref_test.go checks the
+// harness against a dense reference).
 
 // EstimatorKind selects the statistical-disclosure estimator.
 type EstimatorKind int
@@ -85,7 +89,7 @@ func validEstimator(k EstimatorKind) bool {
 //     estimateAt and is idempotent between observes.
 //   - support returns the ascending coordinate set containing every
 //     strictly positive estimate; coordinates outside it evaluate to
-//     exactly 0.
+//     exactly 0. Like estimateAt it is valid after a true ready.
 //   - snapshot/restore serialize the accumulators into the target's
 //     slot of a disclosure checkpoint.
 type estimator interface {
@@ -102,37 +106,80 @@ type estimator interface {
 func newEstimator(k EstimatorKind, nrcpt int) estimator {
 	switch k {
 	case EstimatorLeastSquares:
-		return &lsEstimator{}
+		return &lsEstimator{say: make([]float64, nrcpt), sby: make([]float64, nrcpt)}
 	case EstimatorML:
 		return newMLEstimator(nrcpt)
 	default:
-		return &classicEstimator{}
+		return &classicEstimator{sumWith: make([]float64, nrcpt), sumWithout: make([]float64, nrcpt)}
 	}
 }
 
-// classicEstimator is the original round-contrast estimator, extracted
-// verbatim from the pre-interface targetState: sparse conditional-sum
-// accumulators and the clamped difference of means. Every float
-// operation and its order are unchanged, so tables produced through the
-// interface are byte-identical to the pre-refactor ones.
+// nonzeroSupport refills sup with the ascending coordinates at which v
+// is non-zero.
+func nonzeroSupport(sup []int32, v []float64) []int32 {
+	sup = sup[:0]
+	for r, x := range v {
+		if x != 0 {
+			sup = append(sup, int32(r))
+		}
+	}
+	return sup
+}
+
+// compressCounts is the snapshot form of a dense count accumulator: its
+// non-zero coordinates in ascending order.
+func compressCounts(v []float64) SparseCounts {
+	var sv sparseVec
+	sv.compress(v)
+	return SparseCounts{Idx: sv.idx, Val: sv.val}
+}
+
+// scatterCounts validates a snapshot accumulator and writes it into the
+// dense accumulator dst, the exact inverse of compressCounts. Every
+// value must be a positive count: a live accumulator never holds an
+// explicit zero, so its non-zero support is the snapshot's support.
+func scatterCounts(dst []float64, s *SparseCounts, what string) error {
+	if err := s.validate(what, len(dst)); err != nil {
+		return err
+	}
+	for _, x := range s.Val {
+		if !(x > 0) {
+			return fmt.Errorf("population: snapshot %s holds non-positive count %v", what, x)
+		}
+	}
+	(&sparseVec{idx: s.Idx, val: s.Val}).scatter(dst)
+	return nil
+}
+
+// classicEstimator is the original round-contrast estimator: dense
+// conditional-sum accumulators and the clamped difference of means.
+// Every float operation and its order are those of the pre-interface
+// targetState, so tables produced through the interface are
+// byte-identical to the pre-refactor ones.
 type classicEstimator struct {
-	sumWith    sparseVec
-	sumWithout sparseVec
+	sumWith    []float64 // deliveries by recipient in rounds the target sent in
+	sumWithout []float64 // deliveries by recipient in the other rounds
 	nWith      int
 	nWithout   int
 	iw, iwo    float64 // 1/nWith, 1/nWithout, refreshed by ready
+	sup        []int32 // ascending non-zero sumWith coordinates
+	supStale   bool    // an observe added a coordinate to sumWith's support
 }
 
 func (c *classicEstimator) observe(r *Round, sent bool, _ int) {
-	dst := &c.sumWithout
-	if sent {
-		dst = &c.sumWith
-		c.nWith++
-	} else {
+	if !sent {
 		c.nWithout++
+		for _, rc := range r.Rcpts {
+			c.sumWithout[rc]++
+		}
+		return
 	}
+	c.nWith++
 	for _, rc := range r.Rcpts {
-		dst.add(rc, 1)
+		if c.sumWith[rc] == 0 {
+			c.supStale = true
+		}
+		c.sumWith[rc]++
 	}
 }
 
@@ -141,17 +188,21 @@ func (c *classicEstimator) ready() bool {
 		return false
 	}
 	c.iw, c.iwo = 1/float64(c.nWith), 1/float64(c.nWithout)
+	if c.supStale {
+		c.sup = nonzeroSupport(c.sup, c.sumWith)
+		c.supStale = false
+	}
 	return true
 }
 
-func (c *classicEstimator) support() []int32 { return c.sumWith.idx }
+func (c *classicEstimator) support() []int32 { return c.sup }
 
 // estimateAt evaluates the clamped difference of conditional egress
 // means at coordinate i — the exact float expression the dense
 // estimator computed per entry. Coordinates outside sumWith's support
 // evaluate to exactly 0 (the difference is ≤ 0 there and clamps).
 func (c *classicEstimator) estimateAt(i int32) float64 {
-	v := c.sumWith.get(i)*c.iw - c.sumWithout.get(i)*c.iwo
+	v := c.sumWith[i]*c.iw - c.sumWithout[i]*c.iwo
 	if v < 0 {
 		v = 0
 	}
@@ -159,32 +210,25 @@ func (c *classicEstimator) estimateAt(i int32) float64 {
 }
 
 func (c *classicEstimator) snapshot(ts *TargetEstimatorState) {
-	ts.SumWith = SparseCounts{
-		Idx: append([]int32(nil), c.sumWith.idx...),
-		Val: append([]float64(nil), c.sumWith.val...),
-	}
-	ts.SumWithout = SparseCounts{
-		Idx: append([]int32(nil), c.sumWithout.idx...),
-		Val: append([]float64(nil), c.sumWithout.val...),
-	}
+	ts.SumWith = compressCounts(c.sumWith)
+	ts.SumWithout = compressCounts(c.sumWithout)
 	ts.NWith = c.nWith
 	ts.NWithout = c.nWithout
 }
 
-func (c *classicEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
-	if err := ts.SumWith.validate("sum_with", nrcpt); err != nil {
+func (c *classicEstimator) restore(ts *TargetEstimatorState, _ int) error {
+	if err := scatterCounts(c.sumWith, &ts.SumWith, "sum_with"); err != nil {
 		return err
 	}
-	if err := ts.SumWithout.validate("sum_without", nrcpt); err != nil {
+	if err := scatterCounts(c.sumWithout, &ts.SumWithout, "sum_without"); err != nil {
 		return err
 	}
 	if ts.NWith < 0 || ts.NWithout < 0 {
 		return errors.New("population: snapshot has negative round counts")
 	}
-	c.sumWith.setPairs(ts.SumWith.Idx, ts.SumWith.Val)
-	c.sumWithout.setPairs(ts.SumWithout.Idx, ts.SumWithout.Val)
 	c.nWith = ts.NWith
 	c.nWithout = ts.NWithout
+	c.supStale = true
 	return nil
 }
 
@@ -197,18 +241,19 @@ func (c *classicEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 //	[Sab Sbb] [q[r]] = [Sby[r]]
 //
 // per recipient. The three scalar moments are shared across recipients;
-// the two right-hand-side vectors accumulate sparsely: Say[r] gains a_i
-// per delivery to r (only in rounds the target sent, so its support —
-// the only place a positive estimate can live — stays as small as the
-// classic estimator's), Sby[r] gains b_i per delivery. All accumulator
-// values are integer-valued float64s, exact below 2^53, so the sparse
-// accumulation agrees bit-for-bit with a dense mirror.
+// the two right-hand-side vectors are dense by recipient: Say[r] gains
+// a_i per delivery to r (only in rounds the target sent, so its
+// support — the only place a positive estimate can live — stays as
+// small as the classic estimator's), Sby[r] gains b_i per delivery. All
+// accumulator values are integer-valued float64s, exact below 2^53.
 type lsEstimator struct {
 	saa, sab, sbb float64
-	say, sby      sparseVec
+	say, sby      []float64
 	nWith         int
 	nWithout      int
 	inv           float64 // 1/det, refreshed by ready
+	sup           []int32 // ascending non-zero say coordinates
+	supStale      bool    // an observe added a coordinate to say's support
 }
 
 func (l *lsEstimator) observe(r *Round, sent bool, cnt int) {
@@ -222,14 +267,17 @@ func (l *lsEstimator) observe(r *Round, sent bool, cnt int) {
 	} else {
 		l.nWithout++
 	}
-	if a > 0 {
-		for _, rc := range r.Rcpts {
-			l.say.add(rc, a)
+	// Say and Sby are separate arrays, so one pass adds to both in the
+	// per-coordinate order two passes would.
+	for _, rc := range r.Rcpts {
+		if a > 0 {
+			if l.say[rc] == 0 {
+				l.supStale = true
+			}
+			l.say[rc] += a
 		}
-	}
-	if b > 0 {
-		for _, rc := range r.Rcpts {
-			l.sby.add(rc, b)
+		if b > 0 {
+			l.sby[rc] += b
 		}
 	}
 }
@@ -243,17 +291,21 @@ func (l *lsEstimator) ready() bool {
 		return false
 	}
 	l.inv = 1 / det
+	if l.supStale {
+		l.sup = nonzeroSupport(l.sup, l.say)
+		l.supStale = false
+	}
 	return true
 }
 
-func (l *lsEstimator) support() []int32 { return l.say.idx }
+func (l *lsEstimator) support() []int32 { return l.sup }
 
 // estimateAt solves the 2×2 system at coordinate i by Cramer's rule,
 // clamped at 0. A positive solution needs Say[i] > 0 (Sbb > 0 whenever
 // det > 0, and Sab, Sby are non-negative), so every positive estimate
 // lies inside say's support.
 func (l *lsEstimator) estimateAt(i int32) float64 {
-	v := (l.sbb*l.say.get(i) - l.sab*l.sby.get(i)) * l.inv
+	v := (l.sbb*l.say[i] - l.sab*l.sby[i]) * l.inv
 	if v < 0 {
 		v = 0
 	}
@@ -267,25 +319,19 @@ func (l *lsEstimator) snapshot(ts *TargetEstimatorState) {
 		Saa: l.saa,
 		Sab: l.sab,
 		Sbb: l.sbb,
-		Say: SparseCounts{
-			Idx: append([]int32(nil), l.say.idx...),
-			Val: append([]float64(nil), l.say.val...),
-		},
-		Sby: SparseCounts{
-			Idx: append([]int32(nil), l.sby.idx...),
-			Val: append([]float64(nil), l.sby.val...),
-		},
+		Say: compressCounts(l.say),
+		Sby: compressCounts(l.sby),
 	}
 }
 
-func (l *lsEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
+func (l *lsEstimator) restore(ts *TargetEstimatorState, _ int) error {
 	if ts.LS == nil {
 		return errors.New("population: snapshot target has no least-squares state")
 	}
-	if err := ts.LS.Say.validate("ls say", nrcpt); err != nil {
+	if err := scatterCounts(l.say, &ts.LS.Say, "ls say"); err != nil {
 		return err
 	}
-	if err := ts.LS.Sby.validate("ls sby", nrcpt); err != nil {
+	if err := scatterCounts(l.sby, &ts.LS.Sby, "ls sby"); err != nil {
 		return err
 	}
 	if ts.LS.Saa < 0 || ts.LS.Sbb < 0 || ts.LS.Sab < 0 {
@@ -295,10 +341,9 @@ func (l *lsEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 		return errors.New("population: snapshot has negative round counts")
 	}
 	l.saa, l.sab, l.sbb = ts.LS.Saa, ts.LS.Sab, ts.LS.Sbb
-	l.say.setPairs(ts.LS.Say.Idx, ts.LS.Say.Val)
-	l.sby.setPairs(ts.LS.Sby.Idx, ts.LS.Sby.Val)
 	l.nWith = ts.NWith
 	l.nWithout = ts.NWithout
+	l.supStale = true
 	return nil
 }
 
@@ -413,12 +458,7 @@ func (m *mlEstimator) refresh() {
 			}
 		}
 	}
-	m.sup = m.sup[:0]
-	for r, v := range p {
-		if v > 0 {
-			m.sup = append(m.sup, int32(r))
-		}
-	}
+	m.sup = nonzeroSupport(m.sup, p)
 	normalize(p)
 	normalize(q)
 	if len(m.sup) == 0 {

@@ -1,12 +1,18 @@
 package population
 
-import "testing"
+import (
+	"testing"
+
+	"linkpad/internal/xrand"
+)
 
 // Estimator micro-benchmarks at the ext-sda-arms-race geometry: 24
 // users with cover traffic, 60 recipients, rounds of 48 messages. Each
-// kind is fed a 400-round warm-up stream first, so the sparse
-// accumulators' supports have saturated and the numbers are the steady
-// state a long disclosure run sees.
+// kind is fed a 400-round warm-up stream first, so the supports have
+// saturated and the numbers are the steady state a long disclosure run
+// sees. BenchmarkEstimatorObserve adds the million-user geometry of
+// scale-disclosure and scale-sda-ls for the classic and least-squares
+// estimators: 10^4 recipients, rounds of 1024 messages.
 
 const (
 	benchUsers  = 24
@@ -47,22 +53,51 @@ func TestMLRefreshAllocFree(t *testing.T) {
 	}
 }
 
+const (
+	millionRcpts  = 10_000
+	millionBatch  = 1024
+	millionRounds = 64
+)
+
+// millionStream is a synthetic observation stream at the million-user
+// geometry: uniformly drawn recipients, with the target sending 0, 1 or
+// 2 of each round's messages in turn.
+func millionStream() []recordedRound {
+	rng := xrand.New(0x6d696c6c)
+	out := make([]recordedRound, millionRounds)
+	for i := range out {
+		rcpts := make([]int32, millionBatch)
+		for k := range rcpts {
+			rcpts[k] = int32(rng.Intn(millionRcpts))
+		}
+		out[i] = recordedRound{rcpts: rcpts, cnt: i % 3}
+	}
+	return out
+}
+
 // BenchmarkEstimatorObserve times folding one round into a warm
 // estimator.
 func BenchmarkEstimatorObserve(b *testing.B) {
 	recs := benchStream(b)
 	for _, k := range benchKinds {
-		b.Run(k.String(), func(b *testing.B) {
-			est := feedEstimator(k, benchRcpts, recs)
-			var r Round
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := &recs[i%len(recs)]
-				r.Rcpts = rec.rcpts
-				est.observe(&r, rec.cnt > 0, rec.cnt)
-			}
-		})
+		b.Run(k.String(), func(b *testing.B) { benchObserve(b, k, benchRcpts, recs) })
+	}
+	million := millionStream()
+	for _, k := range []EstimatorKind{EstimatorClassic, EstimatorLeastSquares} {
+		b.Run("million/"+k.String(), func(b *testing.B) { benchObserve(b, k, millionRcpts, million) })
+	}
+}
+
+// benchObserve times observe on an estimator warmed with recs.
+func benchObserve(b *testing.B, k EstimatorKind, nrcpt int, recs []recordedRound) {
+	est := feedEstimator(k, nrcpt, recs)
+	var r Round
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := &recs[i%len(recs)]
+		r.Rcpts = rec.rcpts
+		est.observe(&r, rec.cnt > 0, rec.cnt)
 	}
 }
 

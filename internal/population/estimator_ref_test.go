@@ -1,6 +1,7 @@
 package population
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -75,7 +76,7 @@ func solve2x2Gauss(saa, sab, sbb, say, sby float64) (p float64) {
 }
 
 // TestLeastSquaresMatchesGaussianOracle: over populations up to N=64,
-// the sparse least-squares estimate at every recipient must match a
+// the least-squares estimate at every recipient must match a
 // dense oracle that re-accumulates the moments from the recorded rounds
 // and solves each 2×2 system by Gaussian elimination.
 func TestLeastSquaresMatchesGaussianOracle(t *testing.T) {
@@ -129,19 +130,21 @@ func TestLeastSquaresMatchesGaussianOracle(t *testing.T) {
 				}
 				got := est.estimateAt(int32(i))
 				if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-					t.Fatalf("recipient %d: sparse LS %v vs Gaussian oracle %v", i, got, want)
+					t.Fatalf("recipient %d: LS %v vs Gaussian oracle %v", i, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestLSSparseMatchesDenseBitIdentical extends the sparse/dense
-// bit-identity property (sda_ref_test.go) to the least-squares
-// accumulators: a dense mirror fed the identical per-delivery additions
-// in the identical order must reproduce every estimate coordinate
-// exactly — absent sparse coordinates are exact zeros, and the Cramer
-// expression over equal inputs yields equal floats.
+// TestLSSparseMatchesDenseBitIdentical extends the bit-identity
+// property (sda_ref_test.go) to the least-squares accumulators: a dense
+// mirror fed the identical per-delivery additions in the identical
+// order, one pass per right-hand side, must reproduce every estimate
+// coordinate exactly; the support must be exactly the mirror's non-zero
+// Say coordinates, a strict subset of the recipient space; and a
+// snapshot/JSON/restore round trip must return the same support and
+// estimates.
 func TestLSSparseMatchesDenseBitIdentical(t *testing.T) {
 	const n, recipients, batch, rounds = 48, 500, 8, 500
 	e, err := NewEngine(refUsers(t, n, recipients, true, false), recipients)
@@ -175,7 +178,7 @@ func TestLSSparseMatchesDenseBitIdentical(t *testing.T) {
 		}
 	}
 	if saa != est.saa || sab != est.sab || sbb != est.sbb {
-		t.Fatalf("scalar moments differ: sparse (%v,%v,%v) dense (%v,%v,%v)",
+		t.Fatalf("scalar moments differ: estimator (%v,%v,%v) mirror (%v,%v,%v)",
 			est.saa, est.sab, est.sbb, saa, sab, sbb)
 	}
 	if !est.ready() {
@@ -189,17 +192,45 @@ func TestLSSparseMatchesDenseBitIdentical(t *testing.T) {
 			want = 0
 		}
 		if got := est.estimateAt(int32(i)); got != want {
-			t.Fatalf("recipient %d: sparse estimate %v != dense %v (bit-identity)", i, got, want)
+			t.Fatalf("recipient %d: estimate %v != dense mirror %v (bit-identity)", i, got, want)
 		}
 		if say[i] != 0 {
 			support++
 		}
 	}
-	if nnz := est.say.nnz(); nnz != support {
-		t.Fatalf("sparse say support %d, dense has %d non-zeros", nnz, support)
+	if nnz := len(est.support()); nnz != support {
+		t.Fatalf("say support %d, dense mirror has %d non-zeros", nnz, support)
 	}
 	if support >= recipients {
 		t.Fatalf("say support saturated the %d-recipient space; the sparsity property is vacuous", recipients)
+	}
+
+	// Restore round trip: snapshot, JSON, restore into a fresh estimator;
+	// the support and every estimate come back bit-identical.
+	var ts TargetEstimatorState
+	est.snapshot(&ts)
+	data, err := json.Marshal(&ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded TargetEstimatorState
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	back := newEstimator(EstimatorLeastSquares, recipients)
+	if err := back.restore(&decoded, recipients); err != nil {
+		t.Fatal(err)
+	}
+	if !back.ready() {
+		t.Fatal("restored estimator not ready")
+	}
+	if !slices.Equal(back.support(), est.support()) {
+		t.Fatalf("restored support %v, want %v", back.support(), est.support())
+	}
+	for i := int32(0); i < recipients; i++ {
+		if got, want := back.estimateAt(i), est.estimateAt(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("recipient %d: restored estimate %v != %v", i, got, want)
+		}
 	}
 }
 

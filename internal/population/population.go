@@ -31,11 +31,14 @@
 // reduction — an index min-heap over the shard frontiers — that replays
 // exactly the total (time, user) order the previous concat-and-sort
 // merge produced. Users are materialized lazily: a cold user holds only
-// its frontier (next arrival time and origin, ~9 bytes), and its full
-// source state is rebuilt from the pure per-user Builder the first time
-// it actually sends, so resident memory is dominated by the compact
-// frontier plus the users active so far, not by N fully built source
-// stacks. The round loop is allocation-free in steady state.
+// its frontier (next arrival time and origin, ~9 bytes). Construction
+// reads each user's first arrival from its message and cover sources
+// alone (the pure per-user Arrivals function), and the full user — its
+// recipient profile, draw stream and merged sources — is built from the
+// pure per-user Builder the first time it actually sends, so both the
+// construction pass and resident memory cost the compact frontier plus
+// the users active so far, not N fully built source stacks. The round
+// loop is allocation-free in steady state.
 package population
 
 import (
@@ -154,9 +157,17 @@ type User struct {
 // calling it twice with the same index must yield two fresh, identically
 // seeded source stacks (the repository's (seed, class, userID) stream
 // derivation satisfies this by construction). The engine relies on
-// purity twice — cold users are rebuilt on their first send, and
-// checkpoint resume rebuilds every user it restores state into.
+// purity twice — cold users are built on their first send, and
+// checkpoint resume builds every user it restores state into.
 type Builder func(u int) (User, error)
+
+// Arrivals returns user u's freshly seeded arrival sources: the real
+// message source and the cover source (nil when the user sends no
+// cover). It must be pure, and its sources must be seeded exactly like
+// the Messages and Cover of the Builder's user u — the lazy engine
+// reads a cold user's first arrival from them and expects the built
+// user to replay it.
+type Arrivals func(u int) (messages, cover traffic.Source, err error)
 
 // event is one message entering the shared infrastructure.
 type event struct {
@@ -291,54 +302,62 @@ func NewEngine(users []User, recipients int) (*Engine, error) {
 	return e, e.finishInit(totalRate)
 }
 
-// NewLazyEngine assembles an engine over n users materialized on demand
-// from a pure Builder. Construction makes one pass over the population
-// (in parallel shards) to validate every user and record its compact
-// frontier — first arrival time, origin, aggregate rate — and then
-// discards the built source stacks. A user's full state is rebuilt from
-// the builder the first time it sends; users that never send within the
-// observed horizon never hold source state at all, which is what keeps
-// million-user populations resident-memory-cheap.
-func NewLazyEngine(n, recipients int, build Builder) (*Engine, error) {
-	return newLazyEngine(n, recipients, defaultShardSize, build)
+// NewLazyEngine assembles an engine over n users materialized on demand.
+// Construction makes one pass over the population (in parallel shards)
+// that reads only each user's arrival sources: one Next per source
+// yields the user's compact frontier — first arrival time and origin —
+// and the aggregate rate that sizes generation slabs. No user is built
+// and no recipient profile is drawn. A user's full state comes from the
+// builder the first time it sends, and a failing or inconsistent build
+// surfaces then, as an error from NextRound or the disclosure run; users
+// that never send within the observed horizon never hold source state
+// at all, which is what keeps million-user populations cheap to set up
+// and resident-memory-cheap.
+func NewLazyEngine(n, recipients int, arrivals Arrivals, build Builder) (*Engine, error) {
+	return newLazyEngine(n, recipients, defaultShardSize, arrivals, build)
 }
 
 // newLazyEngine is NewLazyEngine with an explicit shard size (tests use
 // small shards to exercise the multi-shard reduction on small N).
-func newLazyEngine(n, recipients, shardSize int, build Builder) (*Engine, error) {
-	if build == nil {
-		return nil, errors.New("population: nil user builder")
+func newLazyEngine(n, recipients, shardSize int, arrivals Arrivals, build Builder) (*Engine, error) {
+	if arrivals == nil || build == nil {
+		return nil, errors.New("population: nil user arrivals or builder")
 	}
 	e, err := newEngine(n, recipients, shardSize)
 	if err != nil {
 		return nil, err
 	}
 	e.build = build
-	// Init pass: one parallel sweep over the shards builds each user once,
-	// records its frontier, and drops the materialized state. Per-shard
-	// rate partials summed in shard order keep the aggregate-rate float
-	// identical at any worker count.
+	// Init pass: one parallel sweep over the shards records every user's
+	// frontier exactly as the user's Superpose would — the earlier of the
+	// two first arrivals, ties to the message source, at gap t − 0 = t —
+	// and its rate summed in component order, as Superpose.Rate does.
+	// Per-shard rate partials summed in shard order keep the
+	// aggregate-rate float identical at any worker count.
 	nshards := e.numShards()
 	partial := make([]float64, nshards)
 	err = par.MapWorker(nshards, 0, func(_, sh int) error {
 		lo, hi := e.shardRange(sh)
 		var rate float64
 		for u := lo; u < hi; u++ {
-			usr, err := build(u)
+			msgs, cover, err := arrivals(u)
 			if err != nil {
-				return fmt.Errorf("population: build user %d: %w", u, err)
+				return fmt.Errorf("population: user %d arrivals: %w", u, err)
 			}
-			if err := validateUser(&usr, u, recipients); err != nil {
-				return err
+			if msgs == nil {
+				return fmt.Errorf("population: user %d missing sources", u)
 			}
-			sup, err := superposeUser(&usr)
-			if err != nil {
-				return err
+			t, r := msgs.Next(), msgs.Rate()
+			fromCover := false
+			if cover != nil {
+				if tc := cover.Next(); tc < t {
+					t, fromCover = tc, true
+				}
+				r += cover.Rate()
 			}
-			gap, src := sup.NextFrom()
-			e.nextT[u] = gap
-			e.nextCover[u] = src == 1
-			rate += sup.Rate()
+			e.nextT[u] = t
+			e.nextCover[u] = fromCover
+			rate += r
 		}
 		partial[sh] = rate
 		return nil
@@ -424,10 +443,10 @@ func (e *Engine) shardRange(sh int) (lo, hi int) {
 	return lo, hi
 }
 
-// warmUp materializes user u: the pure builder recreates its source
+// warmUp materializes user u: the pure builder creates its source
 // stack and the superpose replays the one frontier draw construction
-// consumed, so the rebuilt cursor lands exactly on the recorded
-// frontier. Warm users stay warm.
+// read, so the fresh cursor lands exactly on the recorded frontier (a
+// cold user's frontier never moves). Warm users stay warm.
 func (e *Engine) warmUp(u int) (*userState, error) {
 	if st := e.warm[u]; st != nil {
 		return st, nil
@@ -437,7 +456,7 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	}
 	usr, err := e.build(u)
 	if err != nil {
-		return nil, fmt.Errorf("population: rebuild user %d: %w", u, err)
+		return nil, fmt.Errorf("population: build user %d: %w", u, err)
 	}
 	if err := validateUser(&usr, u, e.nrcpt); err != nil {
 		return nil, err
@@ -446,24 +465,16 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replay the frontier draw: the init pass consumed one NextFrom to
-	// record (nextT, nextCover); re-consuming it aligns the fresh stream
-	// with the stored frontier.
-	sup.NextFrom()
+	// Replay the frontier draw: the init pass read one arrival to record
+	// (nextT, nextCover); re-consuming it aligns the fresh stream with
+	// the stored frontier. A mismatch means the builder and the arrivals
+	// function disagree, and the run would silently diverge.
+	if gap, src := sup.NextFrom(); gap != e.nextT[u] || (src == 1) != e.nextCover[u] {
+		return nil, fmt.Errorf("population: built user %d does not replay its recorded first arrival", u)
+	}
 	st := &userState{usr: usr, sup: sup}
 	e.warm[u] = st
 	return st, nil
-}
-
-// mustUser materializes user u for the read-only accessors. A failure
-// here means the builder is impure (the init pass already built every
-// user once), which no error return can make safe — panic loudly.
-func (e *Engine) mustUser(u int) *userState {
-	st, err := e.warmUp(u)
-	if err != nil {
-		panic(err)
-	}
-	return st
 }
 
 // Users returns the population size.
@@ -485,17 +496,35 @@ func (e *Engine) WarmUsers() int {
 }
 
 // Class returns user u's class index, materializing the user if needed.
-func (e *Engine) Class(u int) int { return e.mustUser(u).usr.Class }
+func (e *Engine) Class(u int) (int, error) {
+	st, err := e.warmUp(u)
+	if err != nil {
+		return 0, err
+	}
+	return st.usr.Class, nil
+}
 
 // ContactsOf returns a copy of user u's contact set, heaviest first,
 // materializing the user if needed.
-func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).usr.Profile.Contacts() }
+func (e *Engine) ContactsOf(u int) ([]int32, error) {
+	st, err := e.warmUp(u)
+	if err != nil {
+		return nil, err
+	}
+	return st.usr.Profile.Contacts(), nil
+}
 
 // PresenceOf returns user u's churn schedule (nil when the user never
 // churns), materializing the user if needed. The schedule is stateful
 // under query; the engine and any estimator holding it must not be used
 // concurrently.
-func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule { return e.mustUser(u).usr.Presence }
+func (e *Engine) PresenceOf(u int) (*traffic.OnOffSchedule, error) {
+	st, err := e.warmUp(u)
+	if err != nil {
+		return nil, err
+	}
+	return st.usr.Presence, nil
+}
 
 // Rounds returns how many rounds have been emitted so far.
 func (e *Engine) Rounds() int { return e.rounds }

@@ -28,15 +28,14 @@ import (
 //   - dummy.go: the dummy policies resisting the attack (none, uniform
 //     receiver-bound, adaptive suspect-targeting).
 //
-// The estimators are sparse (sparse.go): each target accumulates only
-// the recipients actually delivered in its observed rounds, never a
-// dense length-R vector, so estimator memory scales with observed
-// support rather than with the recipient space. Every quantity the
-// attack reports — the estimate, the top-k contact test, the entropy —
-// is computed from the sparse accumulators bit-identically to the dense
-// formulation (absent coordinates are exactly zero, and zero
-// coordinates are exact no-ops in every sum); sda_ref_test.go checks
-// this against dense reference implementations.
+// The estimators keep dense recipient-indexed state (estimator.go), but
+// every sweep the harness makes — the top-k contact test, the entropy —
+// runs over an estimator's support, the recipients actually delivered
+// in the target's observed rounds, not over the recipient space. The
+// results equal the dense-sweep formulation bit for bit (off-support
+// coordinates estimate exactly zero, and zero coordinates are exact
+// no-ops in every sum); sda_ref_test.go checks this against a dense
+// reference implementation.
 
 // DisclosureConfig parameterizes one statistical-disclosure run.
 type DisclosureConfig struct {
@@ -218,8 +217,8 @@ type targetState struct {
 
 // disclosure is one running attack: per-target estimators plus shared
 // scratch, sized once so the round loop allocates nothing in steady
-// state (estimator inserts stop once each target's observed support
-// saturates).
+// state (the ML estimator's sparse group inserts stop once each
+// target's observed support saturates).
 type disclosure struct {
 	eng       *Engine
 	mix       MixPolicy
@@ -256,7 +255,10 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 			return nil, fmt.Errorf("population: duplicate target user %d", u)
 		}
 		d.targetIdx[u] = int32(i)
-		cs := e.ContactsOf(u)
+		cs, err := e.ContactsOf(u)
+		if err != nil {
+			return nil, err
+		}
 		sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
 		if len(cs) > maxK {
 			maxK = len(cs)
@@ -267,7 +269,9 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 			est:      newEstimator(cfg.Estimator, e.nrcpt),
 		}
 		if cfg.ChurnAware {
-			d.targets[i].presence = e.PresenceOf(u)
+			if d.targets[i].presence, err = e.PresenceOf(u); err != nil {
+				return nil, err
+			}
 		}
 		if cfg.Dummies == DummyAdaptive {
 			d.targets[i].sus = make([]int32, 0, len(cs))

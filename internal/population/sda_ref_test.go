@@ -60,7 +60,10 @@ func newDenseRef(t *testing.T, e *Engine, cfg DisclosureConfig) *denseRef {
 	maxK := 0
 	for i, u := range cfg.Targets {
 		d.targetIdx[u] = int32(i)
-		cs := e.ContactsOf(u)
+		cs, err := e.ContactsOf(u)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for a := 1; a < len(cs); a++ {
 			for b := a; b > 0 && cs[b] < cs[b-1]; b-- {
 				cs[b], cs[b-1] = cs[b-1], cs[b]
@@ -76,7 +79,11 @@ func newDenseRef(t *testing.T, e *Engine, cfg DisclosureConfig) *denseRef {
 			sumWithout: make([]float64, e.Recipients()),
 		}
 		if cfg.ChurnAware {
-			d.targets[i].presence = e.PresenceOf(u)
+			presence, err := e.PresenceOf(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.targets[i].presence = presence
 		}
 	}
 	d.topIdx = make([]int32, maxK)
@@ -337,9 +344,9 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("sparse run differs from dense reference\ngot  %+v\nwant %+v", got, want)
 			}
-			// The sparse estimators must actually be sparse when the space
-			// allows it: no accumulator may have materialized the full
-			// recipient space unless rounds genuinely delivered everywhere.
+			// The estimate support must stay sparse when the space allows
+			// it: topK and the entropy sweep only the recipients the
+			// target's rounds delivered to, not the full recipient space.
 			if tc.recipients >= 500 {
 				run, err := build().StartDisclosure(cfg)
 				if err != nil {
@@ -349,10 +356,13 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range run.d.targets {
-					est := run.d.targets[i].est.(*classicEstimator)
-					if est.sumWith.nnz() >= tc.recipients {
+					est := run.d.targets[i].est
+					if !est.ready() {
+						t.Fatalf("target %d estimator not ready after the run", i)
+					}
+					if len(est.support()) >= tc.recipients {
 						t.Fatalf("target %d sum_with support %d saturated the %d-recipient space",
-							i, est.sumWith.nnz(), tc.recipients)
+							i, len(est.support()), tc.recipients)
 					}
 				}
 			}

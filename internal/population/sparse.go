@@ -2,19 +2,17 @@ package population
 
 import "sort"
 
-// sparseVec is a sorted-coordinate sparse vector over a recipient space:
-// parallel (index, value) slices with idx strictly ascending. The SDA
-// estimators' round accumulators (the classic conditional sums, the
-// least-squares right-hand sides, the ML estimator's per-(a, n) egress
-// counts) and the flow-correlation fingerprints accumulate into these
-// instead of dense length-R arrays, so a million-recipient space costs
-// each accumulator only its support — for an SDA target that is the
-// recipients actually delivered in observed rounds, for a flow
-// fingerprint the non-empty rate bins. The ML estimate itself is dense
-// (estimator.go): it is refit from the accumulators, not accumulated.
+// sparseVec is a sorted-coordinate sparse vector over a recipient or
+// window space: parallel (index, value) slices with idx strictly
+// ascending. Two accumulators use it, both of which multiply with a
+// second dimension, so a dense array each would cost that dimension
+// times the space: the ML estimator's per-(a, n) egress counts (one
+// vector per distinct key) and the flow-correlation fingerprints (one
+// per user and flow, holding only the non-empty rate bins). Every other
+// estimator accumulator is dense by recipient (estimator.go).
 //
-// All values are exact: the estimator entries are event counts (integer-
-// valued float64s, exact below 2^53), so sparse accumulation is not an
+// All values are exact: the entries are event counts (integer-valued
+// float64s, exact below 2^53), so sparse accumulation is not an
 // approximation — every read agrees bit-for-bit with the dense array it
 // replaces, with absent coordinates reading as exactly 0.
 type sparseVec struct {
