@@ -121,12 +121,10 @@ func ExtSDAArmsRace(o Options) (*Table, error) {
 // recipients, the same as the classic conditional sums), so resident
 // memory stays frontier-dominated and the cells must fit the same RSS
 // ceiling scale-disclosure gates in CI (make scale-smoke runs both).
-// The table title and note still name the sparse accumulators this
-// replaced; they are kept so the table stays byte-identical.
 // Like scale-disclosure, disclosed_frac 0 at scale is the expected
 // (negative) reading; the cells gate throughput and memory.
 var scaleSDALSCells = &cellExperiment{
-	title: "Least-squares SDA at scale: million-user populations under the sparse LS accumulators",
+	title: "Least-squares SDA at scale: million-user populations under the dense LS accumulators",
 	columns: []string{"users", "cover", "rounds", "batch",
 		"disclosed_frac", "mean_anonymity"},
 	ncells: func(Options) int { return len(scaleDisclosureCovers) },
@@ -157,7 +155,7 @@ var scaleSDALSCells = &cellExperiment{
 	notes: func(o Options, t *Table) {
 		t.Notef("population %d users (1e6 x scale, floor 1e4), 10000 recipients, batch %d, %d rounds, least-squares estimator",
 			scaleUsers(o), scaleDisclosureBatch, scaleDisclosureRounds)
-		t.Notef("same geometry as scale-disclosure: the pair prices the LS accumulators (Saa/Sab/Sbb + sparse Say/Sby) at scale")
+		t.Notef("same geometry as scale-disclosure: the pair prices the LS accumulators (Saa/Sab/Sbb + dense Say/Sby) at scale")
 		t.Notef("disclosed_frac 0 at large N is the expected reading; the cells gate engine+estimator throughput and memory")
 	},
 }

@@ -53,107 +53,147 @@ func FillBatch(s TimeStream, dst []float64) {
 	}
 }
 
+// ladderJ is the number of ladder counts the slab bounds resolve; a
+// draw at K >= ladderJ (probability below ρ^ladderJ) is evaluated
+// exactly.
+const ladderJ = 12
+
+// ladderDelta is the relative margin on every resolver threshold, and
+// rhoSlack the absolute margin on a slab's ρ bounds. Both are some
+// thousand times wider than the rounding error they absorb (a few ulps
+// from cos, log, the powers and the division).
+const (
+	ladderDelta = 1e-12
+	rhoSlack    = 1e-12
+)
+
+// ladder decides a packet's Pollaczek–Khinchine ladder count
+// K = floor(log u / log ρ) by comparisons alone, for every ρ in a slab's
+// bounds [lo, hi] ⊂ (0, maxRho]. K = j is certain when
+// hi^(j+1)·(1+δ) < u ≤ lo^j·(1−δ): then ρ^(j+1) < u < ρ^j for every ρ in
+// the bounds, with a relative gap of δ that no rounding in the exact
+// expression can close. Draws in the thin bands between those intervals
+// (and beyond j = ladderJ−1) report -1 and are evaluated exactly.
+type ladder struct {
+	up [ladderJ]float64 // up[j] = lo^j·(1−δ), j ≥ 1
+	dn [ladderJ]float64 // dn[j] = hi^(j+1)·(1+δ)
+}
+
+func newLadder(lo, hi float64) ladder {
+	var l ladder
+	pl, ph := 1.0, hi
+	for j := 1; j < ladderJ; j++ {
+		pl *= lo
+		ph *= hi
+		l.up[j] = pl * (1 - ladderDelta)
+		l.dn[j] = ph * (1 + ladderDelta)
+	}
+	return l
+}
+
+// count returns the ladder count of a uniform u ≤ hi, or -1 when u falls
+// in a band the bounds cannot decide.
+func (l *ladder) count(u float64) int {
+	for j := 1; j < ladderJ; j++ {
+		if u > l.dn[j] {
+			if u <= l.up[j] {
+				return j
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// rhoBounds returns bounds lo ≤ ρ ≤ hi on the clamped utilization every
+// packet of the slab sees, with ok false when the slab must be sampled
+// packet by packet: an unrecognized profile, ρ ≤ 0 somewhere (no ladder
+// draw at all), or a diurnal slab that wraps midnight, spans a turning
+// point of the cosine, or reaches the maxRho clamp.
+func (r *FastRouter) rhoBounds(dst []float64) (lo, hi float64, ok bool) {
+	switch u := r.util.(type) {
+	case constUtil:
+		rho := min(float64(u), maxRho)
+		return rho, rho, rho > 0
+	case diurnalUtil:
+		// Scan for the extremes rather than trusting the endpoints: an
+		// upstream Impairer may reorder packets. min/max propagate NaN,
+		// which then fails every check below.
+		tLo, tHi := math.Inf(1), math.Inf(-1)
+		for _, t := range dst {
+			tLo, tHi = min(tLo, t), max(tHi, t)
+		}
+		h0, h1 := u.startHour+tLo/3600, u.startHour+tHi/3600
+		if !(h0 >= 0 && h1-h0 < 24) {
+			return 0, 0, false
+		}
+		// Diurnal.At wraps the hour with math.Mod, which is exact, so
+		// on a slab inside one day (m0 ≤ m1) the wrapped hour is a
+		// monotone shift of t. Between the cosine's turning points
+		// every operation from hour to ρ is then monotone up to cos's
+		// ulp error, and ρ at the slab's extreme hours bounds every
+		// packet's ρ once rhoSlack absorbs that error.
+		m0, m1 := math.Mod(h0, 24), math.Mod(h1, 24)
+		if m0 > m1 {
+			return 0, 0, false
+		}
+		x0, x1 := m0-u.d.TroughHour, m1-u.d.TroughHour
+		for _, turn := range [...]float64{-12, 0, 12} {
+			if x0 <= turn && turn <= x1 {
+				return 0, 0, false
+			}
+		}
+		r0, r1 := u.d.At(h0), u.d.At(h1)
+		lo, hi = min(r0, r1)-rhoSlack, max(r0, r1)+rhoSlack
+		return lo, hi, lo > 0 && hi < maxRho
+	}
+	return 0, 0, false
+}
+
 // NextBatch fills dst with the departure times of the next len(dst)
-// padded packets, sampling each packet's stationary wait exactly as Next
-// does. The constant- and diurnal-utilization profiles are recognized
-// and devirtualized: a constant profile clamps once and caches log(ρ)
-// for the geometric ladder draw, a diurnal one calls the profile's
-// concrete method; any other Util goes through the interface per packet.
+// padded packets, drawing exactly what Next draws. For the constant and
+// diurnal profiles it bounds the slab's ρ once and resolves each
+// packet's ladder count from its uniform by comparison (see ladder);
+// only draws in an undecided band pay for ρ(t) and two logarithms.
+// Slabs rhoBounds rejects, and any other Util, sample packet by packet
+// as Next does.
 func (r *FastRouter) NextBatch(dst []float64) {
 	FillBatch(r.upstream, dst)
 	rng, s, prop := r.rng, r.service, r.prop
 	lastOut, started := r.lastOut, r.started
-	switch u := r.util.(type) {
-	case constUtil:
-		rho := float64(u)
-		if rho < 0 {
-			rho = 0
-		}
-		if rho > maxRho {
-			rho = maxRho
-		}
-		if rho <= 0 {
-			// Dedicated link: no wait, no draws.
-			for i, t := range dst {
-				out := t + s + prop
-				if started && out < lastOut+s {
-					out = lastOut + s
-				}
-				started = true
-				lastOut = out
-				dst[i] = out
-			}
-			break
-		}
-		logRho := math.Log(rho)
-		for i, t := range dst {
-			var w float64
-			for k := rng.GeometricLog(rho, logRho); k > 0; k-- {
-				w += s * rng.Float64()
-			}
-			out := t + w + s + prop
-			if started && out < lastOut+s {
-				out = lastOut + s
-			}
-			started = true
-			lastOut = out
-			dst[i] = out
-		}
-	case diurnalUtil:
-		// Diurnal.At and sampleMD1Wait are manually inlined here — both
-		// exceed the compiler's inlining budget, and at one call per
-		// packet per hop the call overhead is measurable. The arithmetic
-		// replays the originals' operations in the originals' order, so
-		// the stream stays bit-identical (enforced by the equivalence
-		// tests against the pull path, which calls the real functions).
-		d, startHour := u.d, u.startHour
-		trough, peak, troughHour := d.Trough, d.Peak, d.TroughHour
-		diff := peak - trough
-		for i, t := range dst {
-			hour := startHour + t/3600
-			if hour < 0 || hour >= 24 {
-				hour = math.Mod(hour, 24)
-			}
-			phase := 2 * math.Pi * (hour - troughHour) / 24
-			rho := trough + diff*(0.5*(1-math.Cos(phase)))
-			var w float64
-			if rho > 0 {
-				if rho > maxRho {
-					rho = maxRho
-				}
-				// Geometric(rho) inlined: one uniform resolves the
-				// dominant K = 0 case; u <= rho implies
-				// log(u)/log(rho) >= 1, so the floor is the ladder
-				// count directly (Geometric's K < 0 guard is
-				// unreachable here).
-				if u := rng.Float64Open(); u <= rho {
-					for k := math.Floor(math.Log(u) / math.Log(rho)); k > 0; k-- {
-						w += s * rng.Float64()
-					}
-				}
-			}
-			out := t + w + s + prop
-			if started && out < lastOut+s {
-				out = lastOut + s
-			}
-			started = true
-			lastOut = out
-			dst[i] = out
-		}
-	default:
-		for i, t := range dst {
+	lo, hi, bounded := r.rhoBounds(dst)
+	lad := newLadder(lo, hi)
+	for i, t := range dst {
+		var w float64
+		if !bounded {
 			rho := r.util.At(t)
 			if rho < 0 {
 				rho = 0
 			}
-			out := t + sampleMD1Wait(rho, s, rng) + s + prop
-			if started && out < lastOut+s {
-				out = lastOut + s
+			w = sampleMD1Wait(rho, s, rng)
+		} else if u := rng.Float64Open(); u <= hi { // u > hi ≥ ρ is K = 0
+			k := lad.count(u)
+			if k < 0 {
+				// The exact expression, as Geometric evaluates it;
+				// u ≤ ρ < 1 keeps the quotient non-negative, so its
+				// K < 0 guard cannot fire.
+				rho := min(r.util.At(t), maxRho)
+				k = 0
+				if u <= rho {
+					k = int(math.Floor(math.Log(u) / math.Log(rho)))
+				}
 			}
-			started = true
-			lastOut = out
-			dst[i] = out
+			for ; k > 0; k-- {
+				w += s * rng.Float64()
+			}
 		}
+		out := t + w + s + prop
+		if started && out < lastOut+s {
+			out = lastOut + s
+		}
+		started = true
+		lastOut = out
+		dst[i] = out
 	}
 	r.lastOut, r.started = lastOut, started
 }

@@ -1,6 +1,9 @@
 package netem
 
 import (
+	"math"
+	"os"
+	"strconv"
 	"testing"
 
 	"linkpad/internal/traffic"
@@ -184,6 +187,221 @@ func TestNetemBatchMatchesPull(t *testing.T) {
 	}
 }
 
+// propertySeedEnv overrides the fixed seed of the FastRouter property
+// test, so a failure found under another seed can be replayed.
+const propertySeedEnv = "NETEM_PROPERTY_SEED"
+
+// randomRouterPath builds a path of 1 to 15 FastRouter hops over a
+// Poisson-fed stream — each hop constant or diurnal, utilizations from
+// idle to 0.99 (above maxRho), start hours often just before a cosine
+// turning point or midnight — optionally behind a reordering Impairer
+// so hop inputs arrive out of order. gen chooses the shape; seed seeds
+// the packet draws, so two calls with equal arguments build identical
+// paths.
+func randomRouterPath(t *testing.T, gen *xrand.Rand, seed uint64) (TimeStream, string) {
+	t.Helper()
+	master := xrand.New(seed)
+	p, err := traffic.NewPoisson(100, master.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up TimeStream = &cumStream{src: p}
+	desc := ""
+	if gen.Bernoulli(0.25) {
+		up, err = NewImpairer(up, &Impairment{ReorderProb: 0.2, ReorderDepth: 1 + gen.Intn(6)}, master.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc += "reorder "
+	}
+	hops := make([]Hop, 1+gen.Intn(15))
+	for i := range hops {
+		var util Util
+		if gen.Bernoulli(0.3) {
+			rho := []float64{0, 0.05, gen.Float64() * 0.99, 0.95, 0.99}[gen.Intn(5)]
+			util = ConstUtil(rho)
+			desc += "c" + strconv.FormatFloat(rho, 'g', 3, 64) + " "
+		} else {
+			d := traffic.Diurnal{Trough: gen.Float64() * 0.3, TroughHour: gen.Float64() * 24}
+			d.Peak = d.Trough + gen.Float64()*(0.99-d.Trough)
+			if gen.Bernoulli(0.1) {
+				d.Trough = 0
+			}
+			// 4096 packets at 100/s span ~41 s ≈ 0.011 h; starting up
+			// to 0.02 h before a boundary puts it inside the first few
+			// slabs.
+			before := gen.Float64() * 0.02
+			var start float64
+			switch gen.Intn(5) {
+			case 0:
+				start = d.TroughHour - before
+			case 1:
+				start = d.TroughHour + 12 - before
+			case 2:
+				start = d.TroughHour - 12 - before
+			case 3:
+				start = 24 - before
+			default:
+				start = gen.Float64() * 24
+			}
+			start = math.Mod(start+24, 24)
+			util = DiurnalUtil(d, start)
+			desc += "d[" + strconv.FormatFloat(d.Trough, 'g', 3, 64) + "," +
+				strconv.FormatFloat(d.Peak, 'g', 3, 64) + "]@" + strconv.FormatFloat(start, 'g', 6, 64) + " "
+		}
+		hops[i] = Hop{Service: 1e-4, Util: util, Prop: 1e-3}
+	}
+	path, err := NewPath(up, hops, master.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, desc
+}
+
+// TestFastRouterBatchMatchesPullProperty checks, over random hop chains,
+// that the slab-bounded ladder resolver emits the bit-identical stream
+// of the per-packet pull path, across slab lengths from 1 to 4096.
+func TestFastRouterBatchMatchesPullProperty(t *testing.T) {
+	seed := uint64(14)
+	if s := os.Getenv(propertySeedEnv); s != "" {
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			t.Fatalf("%s=%q: %v", propertySeedEnv, s, err)
+		}
+		seed = v
+	}
+	t.Logf("seed %d (override with %s)", seed, propertySeedEnv)
+	trials, total := 60, 9000
+	if testing.Short() {
+		trials = 15
+	}
+	gen := xrand.New(seed)
+	want := make([]float64, total)
+	got := make([]float64, total)
+	for trial := 0; trial < trials; trial++ {
+		shape := gen.Uint64()
+		pathSeed := gen.Uint64()
+		pull, desc := randomRouterPath(t, xrand.New(shape), pathSeed)
+		batch, _ := randomRouterPath(t, xrand.New(shape), pathSeed)
+		for i := range want {
+			want[i] = pull.Next()
+		}
+		for n := 0; n < total; {
+			k := min(total-n, 1+gen.Intn([]int{4, 64, 4096}[gen.Intn(3)]))
+			FillBatch(batch, got[n:n+k])
+			n += k
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%s) packet %d: batch %v != pull %v", trial, desc, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestLadderThresholds probes the resolver at every threshold
+// lo^j·(1−δ) and hi^(j+1)·(1+δ), at its float64 neighbours, and at
+// j = ladderJ: wherever count decides K, K must equal the exact
+// floor(log u / log ρ) at both ends of the ρ bounds, and draws at or
+// beyond the last threshold must be left undecided.
+func TestLadderThresholds(t *testing.T) {
+	// Constant profiles, diurnal slab-width bounds, and bounds too wide
+	// for any count to be decided.
+	bounds := [][2]float64{
+		{0.6, 0.6}, {0.95, 0.95}, {0.05, 0.05}, {1e-3, 1e-3},
+		{0.2, 0.2000001}, {0.3, 0.3004}, {0.9496, 0.95},
+		{0.05, 0.3}, {0.9, 0.95},
+	}
+	for _, b := range bounds {
+		lo, hi := b[0], b[1]
+		l := newLadder(lo, hi)
+		var probes []float64
+		for j := 1; j < ladderJ; j++ {
+			for _, th := range []float64{l.up[j], l.dn[j]} {
+				probes = append(probes, math.Nextafter(th, 0), th, math.Nextafter(th, 1))
+			}
+		}
+		probes = append(probes, hi, math.Nextafter(hi, 0))
+		decided := 0
+		for _, u := range probes {
+			k := l.count(u)
+			if k < 0 {
+				continue
+			}
+			decided++
+			for _, rho := range []float64{lo, hi} {
+				if exact := math.Floor(math.Log(u) / math.Log(rho)); float64(k) != exact {
+					t.Errorf("bounds [%g, %g] u=%v: count %d, exact at ρ=%g is %v", lo, hi, u, k, rho, exact)
+				}
+			}
+		}
+		if decided == 0 && hi*hi < lo {
+			t.Errorf("bounds [%g, %g]: no probe decided", lo, hi)
+		}
+		last := l.dn[ladderJ-1]
+		for _, u := range []float64{math.Nextafter(last, 0), last, last / 2} {
+			if k := l.count(u); k != -1 {
+				t.Errorf("bounds [%g, %g] u=%v ≤ hi^J(1+δ): count %d, want -1", lo, hi, u, k)
+			}
+		}
+	}
+}
+
+// TestRhoBoundsCoverSlab checks the invariant the resolver rests on:
+// whenever rhoBounds accepts a diurnal slab, every packet's ρ lies in
+// [lo, hi] — for slabs in any order, next to turning points and
+// midnight, and on later days of a multi-day run.
+func TestRhoBoundsCoverSlab(t *testing.T) {
+	gen := xrand.New(5)
+	dst := make([]float64, 4096)
+	var accepted, rejected int
+	for trial := 0; trial < 400; trial++ {
+		// A trough or peak at midnight makes wrapping past it unsafe.
+		d := traffic.Diurnal{Trough: 0.01 + gen.Float64()*0.3, TroughHour: []float64{0, 12, gen.Float64() * 24}[gen.Intn(3)]}
+		d.Peak = d.Trough + gen.Float64()*(0.95-d.Trough)
+		util := DiurnalUtil(d, gen.Float64()*24)
+		r, err := NewFastRouter(&cumStream{}, 1e-4, util, 0, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half the time, land the slab start between 1e-8 h and 0.02 h
+		// before a boundary, where ρ is flat enough for rounding to
+		// matter.
+		du := util.(diurnalUtil)
+		day := float64(gen.Intn(3)) * 24
+		boundary := []float64{d.TroughHour, d.TroughHour + 12, d.TroughHour - 12, 24}[gen.Intn(4)]
+		hour := day + boundary - 0.02*math.Pow(10, -6*gen.Float64())
+		if gen.Bernoulli(0.5) {
+			hour = day + gen.Float64()*24
+		}
+		t0 := (hour - du.startHour) * 3600
+		n := 1 + gen.Intn(len(dst))
+		for i := range dst[:n] {
+			dst[i] = t0 + float64(i)*0.01
+		}
+		for i := 1; i < n; i++ {
+			if gen.Bernoulli(0.2) {
+				j := max(0, i-1-gen.Intn(6))
+				dst[i], dst[j] = dst[j], dst[i]
+			}
+		}
+		lo, hi, ok := r.rhoBounds(dst[:n])
+		if !ok {
+			rejected++
+			continue
+		}
+		accepted++
+		for _, tt := range dst[:n] {
+			if rho := util.At(tt); !(lo <= rho && rho <= hi) {
+				t.Fatalf("trial %d: ρ(%v) = %v outside slab bounds [%v, %v]", trial, tt, rho, lo, hi)
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("accepted %d, rejected %d slabs: want both paths exercised", accepted, rejected)
+	}
+}
+
 // TestDifferSkipAndPIATsBatched checks that the batched Skip and PIATs
 // paths leave the Differ in the bit-identical state as per-packet pulls.
 func TestDifferSkipAndPIATsBatched(t *testing.T) {
@@ -222,11 +440,14 @@ func TestDifferSkipAndPIATsBatched(t *testing.T) {
 
 // benchPullBatch reports both traversal modes of one element, one packet
 // per iteration either way, so ns/op compares directly: the pull mode
-// calls Next per packet, the batch mode amortizes a whole slab.
+// calls Next per packet, the batch mode amortizes a whole slab. The
+// batch mode rounds b.N up to whole slabs, so it also reports ns/pkt,
+// which stays per packet even at -benchtime 1x.
 func benchPullBatch(b *testing.B, mk func() BatchStream) {
 	b.Run("pull", func(b *testing.B) {
 		s := mk()
 		b.ReportAllocs()
+		b.ResetTimer()
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			sink += s.Next()
@@ -239,9 +460,11 @@ func benchPullBatch(b *testing.B, mk func() BatchStream) {
 		s.NextBatch(buf) // warm internal buffers
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i += len(buf) {
+		pkts := 0
+		for ; pkts < b.N; pkts += len(buf) {
 			s.NextBatch(buf)
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
 	})
 }
 

@@ -65,9 +65,9 @@ func MD1WaitVar(rho, s float64) float64 {
 // link at absolute time t (seconds since the run began). It is an
 // interface rather than a func type so the batched router loop can
 // recognize the two concrete profiles the simulator uses — constant and
-// diurnal — and devirtualize the per-packet utilization lookup; any
-// other implementation (including a plain UtilFunc closure) works
-// through the generic path.
+// diurnal — and bound a whole slab's utilization instead of evaluating
+// it per packet; any other implementation (including a plain UtilFunc
+// closure) works through the generic path.
 type Util interface {
 	At(t float64) float64
 }
@@ -101,7 +101,7 @@ func (u diurnalUtil) At(t float64) float64 { return u.d.At(u.startHour + t/3600)
 // startHour o'clock. A flat profile (Peak == Trough) collapses to the
 // constant Util: Diurnal.At returns exactly Trough for it at every hour,
 // so the substitution is bit-identical and lets the batched router loop
-// take its draw-cheap constant path.
+// bound its slabs without a scan.
 func DiurnalUtil(d traffic.Diurnal, startHour float64) Util {
 	if d.Peak == d.Trough {
 		return constUtil(d.Trough)
@@ -274,7 +274,7 @@ func NewPath(upstream TimeStream, hops []Hop, rng *xrand.Rand) (TimeStream, erro
 		return nil, errors.New("netem: nil upstream")
 	}
 	s := upstream
-	for i, h := range hops {
+	for _, h := range hops {
 		if rng == nil {
 			return nil, errors.New("netem: nil rng with non-empty path")
 		}
@@ -282,7 +282,6 @@ func NewPath(upstream TimeStream, hops []Hop, rng *xrand.Rand) (TimeStream, erro
 		if err != nil {
 			return nil, errors.Join(errors.New("netem: bad hop"), err)
 		}
-		_ = i
 		s = fr
 	}
 	return s, nil

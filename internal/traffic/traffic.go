@@ -371,8 +371,7 @@ func (d Diurnal) Validate() error {
 // At returns the utilization at the given hour of day (wrapping modulo 24).
 func (d Diurnal) At(hour float64) float64 {
 	if d.Peak == d.Trough {
-		// Constant profile: skip the trig. This path runs once per packet
-		// per hop in the network simulator, so it must stay branch-cheap.
+		// Constant profile: skip the trig.
 		return d.Trough
 	}
 	if hour < 0 || hour >= 24 {

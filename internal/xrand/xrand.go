@@ -223,39 +223,14 @@ func (r *Rand) Geometric(p float64) int {
 	if p == 0 {
 		return 0
 	}
-	// Inversion: K = floor(log(U) / log(p)). The ladder sampler calls this
-	// once per packet per hop, and at the utilizations studied K = 0 — that
-	// is U > p — dominates, so resolve that case from the uniform alone
-	// before paying for two logarithms.
+	// Inversion: K = floor(log(U) / log(p)). At the utilizations the
+	// ladder sampler sees, K = 0 — that is U > p — dominates, so resolve
+	// that case from the uniform alone before paying for two logarithms.
 	u := r.Float64Open()
 	if u > p {
 		return 0
 	}
 	k := math.Floor(math.Log(u) / math.Log(p))
-	if k < 0 {
-		return 0
-	}
-	return int(k)
-}
-
-// GeometricLog is Geometric with the logarithm of p precomputed by the
-// caller: logp must equal math.Log(p). Batched samplers at a constant
-// utilization draw one geometric per packet, and caching log(p) removes
-// one of the two logarithms from the slow branch without changing a
-// single draw — given the same p and uniform stream, GeometricLog and
-// Geometric return bit-identical sequences.
-func (r *Rand) GeometricLog(p, logp float64) int {
-	if p < 0 || p >= 1 {
-		panic("xrand: GeometricLog requires 0 <= p < 1")
-	}
-	if p == 0 {
-		return 0
-	}
-	u := r.Float64Open()
-	if u > p {
-		return 0
-	}
-	k := math.Floor(math.Log(u) / logp)
 	if k < 0 {
 		return 0
 	}
