@@ -278,22 +278,32 @@ func (s *System) streamSeed(class int, streamID uint64) uint64 {
 	return z
 }
 
-// payloadSource builds the payload arrival process for class.
-func (s *System) payloadSource(class int, rng *xrand.Rand) (traffic.Source, error) {
+// payloadModel is the payload arrival process for class: the one place
+// the Poisson / CBR / OnOff parameters are defined.
+func (s *System) payloadModel(class int) (traffic.Model, error) {
 	pps := s.cfg.Rates[class].PPS
 	switch s.cfg.Payload {
 	case PayloadPoisson:
-		return traffic.NewPoisson(pps, rng)
+		return traffic.Model{Kind: traffic.ModelPoisson, Rate: pps}, nil
 	case PayloadCBR:
 		// 10% of the interval as clock jitter so CBR phase is not locked
 		// to the padding timer.
-		return traffic.NewCBR(pps, 0.1/pps, rng)
+		return traffic.Model{Kind: traffic.ModelCBR, Rate: pps, Jitter: 0.1 / pps}, nil
 	case PayloadOnOff:
 		// 50% duty cycle bursts of 200 ms average, peak 2x the mean rate.
-		return traffic.NewOnOff(2*pps, 0.2, 0.2, rng)
+		return traffic.Model{Kind: traffic.ModelOnOff, Rate: 2 * pps, MeanOn: 0.2, MeanOff: 0.2}, nil
 	default:
-		return nil, fmt.Errorf("core: unknown payload model %v", s.cfg.Payload)
+		return traffic.Model{}, fmt.Errorf("core: unknown payload model %v", s.cfg.Payload)
 	}
+}
+
+// payloadSource builds the payload arrival process for class.
+func (s *System) payloadSource(class int, rng *xrand.Rand) (traffic.Source, error) {
+	m, err := s.payloadModel(class)
+	if err != nil {
+		return nil, err
+	}
+	return m.New(rng)
 }
 
 // Gateway builds a fresh replica of the padding gateway for the given

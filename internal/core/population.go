@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
@@ -208,40 +209,64 @@ func (spec PopulationSpec) coverPPS(payload float64) float64 {
 // an optional cover source, and a recipient profile, all derived from
 // (seed, class, userID) role streams in the population domain. The
 // engine materializes users lazily — both functions below are pure in
-// the user index. Construction reads only the arrival sources; the full
-// user is built, with its sources from the same arrivals function, when
-// the simulation horizon first reaches one of its arrivals.
+// the user index. Construction reads only each user's frontier: the
+// first message and cover gaps and the summed rate, drawn from the same
+// models and stream seeds the builder uses but with the sources held on
+// the stack, so setting up N users allocates nothing per user. The full
+// user is built when the simulation horizon first reaches one of its
+// arrivals.
 func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) {
 	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
 	cum := s.classCum(spec.ClassMix)
-	arrivals := func(u int) (traffic.Source, traffic.Source, error) {
-		class := classOf(u, spec.Users, cum)
-		payload, err := s.payloadSource(class,
-			xrand.New(s.streamSeed(class, populationStreamID(u, popRolePayload))))
+	// models returns user u's class and its payload and cover models; the
+	// cover model's rate is 0 when the user sends no cover. The frontier
+	// and the builder both read it, each model drawing from the user's
+	// role stream of the same name.
+	models := func(u int) (class int, payload, cover traffic.Model, err error) {
+		class = classOf(u, spec.Users, cum)
+		payload, err = s.payloadModel(class)
+		cover = traffic.Model{Kind: traffic.ModelPoisson, Rate: spec.coverPPS(s.cfg.Rates[class].PPS)}
+		return class, payload, cover, err
+	}
+	arrivals := func(u int) (population.Frontier, error) {
+		class, payload, cover, err := models(u)
 		if err != nil {
-			return nil, nil, err
+			return population.Frontier{}, err
 		}
-		c := spec.coverPPS(s.cfg.Rates[class].PPS)
-		if c <= 0 {
-			return payload, nil, nil
-		}
-		cover, err := traffic.NewPoisson(c,
-			xrand.New(s.streamSeed(class, populationStreamID(u, popRoleCover))))
+		f := population.Frontier{Cover: math.Inf(1)}
+		f.Msg, f.Rate, err = payload.First(xrand.New(s.popSeed(class, u, popRolePayload)))
 		if err != nil {
-			return nil, nil, err
+			return population.Frontier{}, err
 		}
-		return payload, cover, nil
+		if cover.Rate > 0 {
+			var rate float64
+			f.Cover, rate, err = cover.First(xrand.New(s.popSeed(class, u, popRoleCover)))
+			if err != nil {
+				return population.Frontier{}, err
+			}
+			f.Rate += rate
+		}
+		return f, nil
 	}
 	build := func(u int) (population.User, error) {
-		class := classOf(u, spec.Users, cum)
-		payload, cover, err := arrivals(u)
+		class, payloadModel, coverModel, err := models(u)
 		if err != nil {
 			return population.User{}, err
 		}
-		prng := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleProfile)))
+		payload, err := payloadModel.New(xrand.New(s.popSeed(class, u, popRolePayload)))
+		if err != nil {
+			return population.User{}, err
+		}
+		var cover traffic.Source
+		if coverModel.Rate > 0 {
+			if cover, err = coverModel.New(xrand.New(s.popSeed(class, u, popRoleCover))); err != nil {
+				return population.User{}, err
+			}
+		}
+		prng := xrand.New(s.popSeed(class, u, popRoleProfile))
 		profile, err := population.NewProfile(spec.Recipients, spec.Contacts, spec.ContactWeight, prng)
 		if err != nil {
 			return population.User{}, err
@@ -265,6 +290,11 @@ func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) 
 	return population.NewLazyEngine(spec.Users, spec.Recipients, arrivals, build)
 }
 
+// popSeed is the seed of one population user's role stream.
+func (s *System) popSeed(class, user int, role uint64) uint64 {
+	return s.streamSeed(class, populationStreamID(user, role))
+}
+
 // presenceSchedule builds user u's churn presence schedule from its
 // popRoleChurn stream, or nil for a static population. The schedule is a
 // pure function of (seed, class, userID), so rebuilding the population
@@ -274,7 +304,7 @@ func (s *System) presenceSchedule(spec PopulationSpec, class, user int) (*traffi
 		return nil, nil
 	}
 	return traffic.NewOnOffSchedule(spec.Churn.MeanOn, spec.Churn.MeanOff,
-		xrand.New(s.streamSeed(class, populationStreamID(user, popRoleChurn))))
+		xrand.New(s.popSeed(class, user, popRoleChurn)))
 }
 
 // FlowCorrConfig parameterizes the population flow-correlation attack

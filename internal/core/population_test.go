@@ -192,3 +192,32 @@ func TestFlowCorrelationHonorsNetworkPath(t *testing.T) {
 		t.Error("network path and tap loss left the flow observations unchanged")
 	}
 }
+
+// TestNewPopulationInitAllocs: NewPopulation draws every user's frontier
+// from stack-held generators for each payload model, so building a
+// 10^5-user population allocates a fixed handful of objects, the same
+// count as a 10^3-user one — never one per user.
+func TestNewPopulationInitAllocs(t *testing.T) {
+	for _, payload := range []PayloadModel{PayloadPoisson, PayloadCBR, PayloadOnOff} {
+		cfg := DefaultLabConfig()
+		cfg.Payload = payload
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(users int) float64 {
+			spec := PopulationSpec{Users: users, Recipients: 1000, CoverRate: 1}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := sys.NewPopulation(spec); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		big, small := allocs(100_000), allocs(1000)
+		t.Logf("%v: %v allocations at 10^5 users, %v at 10^3", payload, big, small)
+		if big > small+2 {
+			t.Errorf("%v: %v allocations at 10^5 users against %v at 10^3: construction allocates per user",
+				payload, big, small)
+		}
+	}
+}

@@ -43,7 +43,8 @@ type EventState struct {
 type WarmUserState struct {
 	// User is the user's index.
 	User int `json:"user"`
-	// Sup is the user's merged payload+cover source state.
+	// Sup is the user's merged payload+cover source state, in the form
+	// traffic.Snapshot gives a Superpose over the same sources.
 	Sup traffic.SourceState `json:"sup"`
 	// NextT is the absolute time of the user's pending (not yet merged)
 	// arrival.
@@ -91,7 +92,8 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		if ws == nil {
 			continue
 		}
-		sup, err := traffic.Snapshot(ws.sup)
+		srcs := ws.sources()
+		sup, err := traffic.MergeState(srcs, ws.next[:len(srcs)], ws.now)
 		if err != nil {
 			return nil, fmt.Errorf("population: snapshot user %d: %w", u, err)
 		}
@@ -136,16 +138,22 @@ func (e *Engine) Restore(st *EngineState) error {
 		if err != nil {
 			return err
 		}
-		if err := traffic.Restore(us.sup, ws.Sup); err != nil {
+		srcs := us.sources()
+		now, err := traffic.RestoreMerge(srcs, us.next[:len(srcs)], ws.Sup)
+		if err != nil {
 			return fmt.Errorf("population: restore user %d: %w", ws.User, err)
 		}
+		us.now = now
 		us.usr.RNG.SetState(ws.RNG)
 		e.nextT[ws.User] = ws.NextT
 		e.nextCover[ws.User] = ws.NextCover
 	}
 	e.slabEnd = st.SlabEnd
 	e.rounds = st.Rounds
-	e.shards = nil
+	for i := range e.shards {
+		e.shards[i].buf = e.shards[i].buf[:0]
+		e.shards[i].pos = 0
+	}
 	e.heap = e.heap[:0]
 	e.restored = make([]event, 0, len(st.Queue))
 	for _, ev := range st.Queue {

@@ -3,6 +3,7 @@ package population
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -38,9 +39,12 @@ func refBuilder(tb testing.TB, recipients int, cover, churn bool) (Arrivals, Bui
 		}
 		return msgs, cov, master, nil
 	}
-	arrivals := func(u int) (traffic.Source, traffic.Source, error) {
+	arrivals := func(u int) (Frontier, error) {
 		msgs, cov, _, err := sources(u)
-		return msgs, cov, err
+		if err != nil {
+			return Frontier{}, err
+		}
+		return frontierOf(msgs, cov), nil
 	}
 	build := func(u int) (User, error) {
 		msgs, cov, master, err := sources(u)
@@ -63,6 +67,16 @@ func refBuilder(tb testing.TB, recipients int, cover, churn bool) (Arrivals, Bui
 		return usr, nil
 	}
 	return arrivals, build
+}
+
+// frontierOf reads a frontier off freshly built sources (cov may be nil).
+func frontierOf(msgs, cov traffic.Source) Frontier {
+	f := Frontier{Msg: msgs.Next(), Cover: math.Inf(1), Rate: msgs.Rate()}
+	if cov != nil {
+		f.Cover = cov.Next()
+		f.Rate += cov.Rate()
+	}
+	return f
 }
 
 // refLazyEngine builds a lazy engine over the refBuilder population.
@@ -162,9 +176,12 @@ func TestLazyEngineColdUsers(t *testing.T) {
 		msgs, err := traffic.NewPoisson(rate, master.Split())
 		return msgs, master, err
 	}
-	arrivals := func(u int) (traffic.Source, traffic.Source, error) {
+	arrivals := func(u int) (Frontier, error) {
 		msgs, _, err := sources(u)
-		return msgs, nil, err
+		if err != nil {
+			return Frontier{}, err
+		}
+		return frontierOf(msgs, nil), nil
 	}
 	build := func(u int) (User, error) {
 		msgs, master, err := sources(u)
@@ -284,9 +301,9 @@ func TestLazyEngineBuilderError(t *testing.T) {
 	const n, recipients = 10, 40
 	boom := errors.New("boom")
 	arrivals, build := refBuilder(t, recipients, false, false)
-	failArrivals := func(u int) (traffic.Source, traffic.Source, error) {
+	failArrivals := func(u int) (Frontier, error) {
 		if u == 7 {
-			return nil, nil, boom
+			return Frontier{}, boom
 		}
 		return arrivals(u)
 	}
@@ -403,11 +420,11 @@ func TestLazyDisclosureKillAndResume(t *testing.T) {
 }
 
 // BenchmarkLazyEngineInit times lazy-engine construction over 10^5
-// users with cover traffic: the init pass that reads each user's first
-// arrival and builds no user.
+// users with cover traffic: the init pass that reads each user's
+// frontier from stack-held generators and builds no user.
 func BenchmarkLazyEngineInit(b *testing.B) {
 	const n, recipients = 100_000, 10_000
-	arrivals, build := refBuilder(b, recipients, true, false)
+	arrivals, build := modelPopulation(recipients, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewLazyEngine(n, recipients, arrivals, build); err != nil {

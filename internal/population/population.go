@@ -32,18 +32,21 @@
 // exactly the total (time, user) order the previous concat-and-sort
 // merge produced. Users are materialized lazily: a cold user holds only
 // its frontier (next arrival time and origin, ~9 bytes). Construction
-// reads each user's first arrival from its message and cover sources
-// alone (the pure per-user Arrivals function), and the full user — its
-// recipient profile, draw stream and merged sources — is built from the
-// pure per-user Builder the first time it actually sends, so both the
-// construction pass and resident memory cost the compact frontier plus
-// the users active so far, not N fully built source stacks. The round
-// loop is allocation-free in steady state.
+// reads each user's first message and cover gaps and its rate as plain
+// numbers (the pure per-user Arrivals function), so it allocates per
+// shard, not per user. The full user — its sources, recipient profile
+// and draw stream — is built from the pure per-user Builder the first
+// time it actually sends, into a state carved from its shard's chunk
+// that also holds the user's two-way payload/cover merge cursor. Both
+// the construction pass and resident memory cost the compact frontier
+// plus the users active so far, not N fully built source stacks. The
+// round loop is allocation-free in steady state.
 package population
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"linkpad/internal/obs"
@@ -96,7 +99,19 @@ func NewProfile(recipients, contacts int, weight float64, rng *xrand.Rand) (Prof
 			cs = append(cs, c)
 		}
 	}
-	cum := make([]float64, contacts)
+	var cum []float64
+	if contacts < len(sharedZipfCum) {
+		cum = sharedZipfCum[contacts]
+	} else {
+		cum = zipfCum(contacts)
+	}
+	return Profile{contacts: cs, cum: cum, weight: weight, nrcpt: int32(recipients)}, nil
+}
+
+// zipfCum returns the cumulative Zipf weights 1, 1/2, …, 1/k normalized
+// to end at 1.
+func zipfCum(k int) []float64 {
+	cum := make([]float64, k)
 	var tot float64
 	for i := range cum {
 		tot += 1 / float64(i+1)
@@ -105,8 +120,19 @@ func NewProfile(recipients, contacts int, weight float64, rng *xrand.Rand) (Prof
 	for i := range cum {
 		cum[i] /= tot
 	}
-	return Profile{contacts: cs, cum: cum, weight: weight, nrcpt: int32(recipients)}, nil
+	return cum
 }
+
+// sharedZipfCum[k] is zipfCum(k) for contact sets of up to 16 (every
+// committed population uses 3), built once and shared read-only by all
+// profiles, so a warming user allocates no weight table.
+var sharedZipfCum = func() [][]float64 {
+	t := make([][]float64, 17)
+	for k := 1; k < len(t); k++ {
+		t[k] = zipfCum(k)
+	}
+	return t
+}()
 
 // Draw picks one recipient from the profile using rng.
 func (p *Profile) Draw(rng *xrand.Rand) int32 {
@@ -161,13 +187,24 @@ type User struct {
 // checkpoint resume builds every user it restores state into.
 type Builder func(u int) (User, error)
 
-// Arrivals returns user u's freshly seeded arrival sources: the real
-// message source and the cover source (nil when the user sends no
-// cover). It must be pure, and its sources must be seeded exactly like
-// the Messages and Cover of the Builder's user u — the lazy engine
-// reads a cold user's first arrival from them and expects the built
-// user to replay it.
-type Arrivals func(u int) (messages, cover traffic.Source, err error)
+// Frontier is a user's start as plain numbers: what one Next and Rate
+// on each of its freshly built sources would return.
+type Frontier struct {
+	// Msg is the first gap of the user's message source.
+	Msg float64
+	// Cover is the first gap of the user's cover source; +Inf when the
+	// user sends no cover.
+	Cover float64
+	// Rate is the message source's rate plus the cover source's, summed
+	// in that order.
+	Rate float64
+}
+
+// Arrivals returns user u's frontier. It must be pure, and it must
+// agree with the Messages and Cover of the Builder's user u — the lazy
+// engine records a cold user's first arrival from it and checks that
+// the built user replays it.
+type Arrivals func(u int) (Frontier, error)
 
 // event is one message entering the shared infrastructure.
 type event struct {
@@ -191,23 +228,77 @@ func (s *eventSorter) Less(i, j int) bool {
 	return s.ev[i].user < s.ev[j].user
 }
 
-// userState is one warm user's full materialization: the built sources
-// plus the merged real+cover stream. Cold users have no userState at
-// all — their generation cursor lives in the engine's frontier arrays.
+// userState is one warm user's full materialization: the built user
+// plus the cursor of its payload+cover merge — each source's absolute
+// next-arrival time (cover +Inf when the user has none) and the merge
+// clock, the state a traffic.Superpose of the two sources would hold.
+// Cold users have no userState at all — their generation cursor lives
+// in the engine's frontier arrays.
 type userState struct {
-	usr User
-	sup *traffic.Superpose
+	usr  User
+	next [2]float64 // payload, cover
+	now  float64
+}
+
+// earlier picks the next arrival of a payload+cover merge: the earlier
+// of the two times, ties to the payload, as Superpose.NextFrom breaks
+// them.
+func earlier(msgT, coverT float64) (t float64, cover bool) {
+	if coverT < msgT {
+		return coverT, true
+	}
+	return msgT, false
+}
+
+// start draws the user's first payload and cover arrivals, in the order
+// NewSuperpose draws them, and returns the user's rate summed as
+// Superpose.Rate sums it.
+func (st *userState) start() (rate float64) {
+	st.next = [2]float64{st.usr.Messages.Next(), math.Inf(1)}
+	rate = st.usr.Messages.Rate()
+	if st.usr.Cover != nil {
+		st.next[1] = st.usr.Cover.Next()
+		rate += st.usr.Cover.Rate()
+	}
+	return rate
+}
+
+// advance emits the merge's next gap and origin with the float
+// operations of Superpose.NextFrom, so the user's stream is bit-identical
+// to a Superpose over its sources.
+func (st *userState) advance() (gap float64, cover bool) {
+	t, cover := earlier(st.next[0], st.next[1])
+	gap = t - st.now
+	st.now = t
+	if cover {
+		st.next[1] = t + st.usr.Cover.Next()
+	} else {
+		st.next[0] = t + st.usr.Messages.Next()
+	}
+	return gap, cover
+}
+
+// sources returns the user's merged sources in component order.
+func (st *userState) sources() []traffic.Source {
+	if st.usr.Cover == nil {
+		return []traffic.Source{st.usr.Messages}
+	}
+	return []traffic.Source{st.usr.Messages, st.usr.Cover}
 }
 
 // shard is one contiguous user range's generation unit: the slab buffer
 // of its users' events (sorted by (t, user) after generation), the merge
 // cursor into it, and reusable sorter/bookkeeping so a refill allocates
-// nothing beyond amortized buffer growth.
+// nothing beyond amortized buffer growth. Its users' warm states are
+// carved from states, a chunk replaced (never grown) when full so the
+// engine's pointers into it stay valid.
 type shard struct {
 	buf    []event
 	pos    int
 	active int // users that emitted at least one event this slab
 	sorter eventSorter
+	states []userState
+	warm   int // users of the shard holding a userState
 }
 
 // Round is one batch of the population mix as both sides of the
@@ -245,7 +336,8 @@ type Engine struct {
 	nextT     []float64
 	nextCover []bool
 	// warm holds the materialized users (nil while cold). A user warms on
-	// its first generated event and stays warm.
+	// its first generated event and stays warm; its state lives in its
+	// shard's chunk.
 	warm []*userState
 
 	workers   int
@@ -270,8 +362,15 @@ const targetSlabEvents = 4096
 
 // defaultShardSize is the user count per generation shard: small enough
 // that a shard's frontier slice and slab buffer stay cache-resident,
-// large enough that the per-shard fan-out overhead amortizes.
-const defaultShardSize = 1024
+// large enough that the per-shard fan-out overhead amortizes. At the
+// million-user geometry 8192 measured ~10% faster per run than 1024,
+// with less memory (BenchmarkEngineNextRound and perfbench
+// sda-million-ls; DESIGN.md, "Population at scale").
+const defaultShardSize = 8192
+
+// stateChunk is how many userStates a shard allocates at a time (fewer
+// when fewer of its users are still cold).
+const stateChunk = 64
 
 // NewEngine assembles an engine over pre-built users and the shared
 // recipient space. Each user's sources and RNG must be non-nil (Cover
@@ -285,34 +384,28 @@ func NewEngine(users []User, recipients int) (*Engine, error) {
 	}
 	var totalRate float64
 	for u := range users {
-		usr := &users[u]
-		if err := validateUser(usr, u, recipients); err != nil {
+		if err := validateUser(&users[u], u, recipients); err != nil {
 			return nil, err
 		}
-		sup, err := superposeUser(usr)
-		if err != nil {
-			return nil, err
-		}
-		gap, src := sup.NextFrom()
-		e.nextT[u] = gap
-		e.nextCover[u] = src == 1
-		e.warm[u] = &userState{usr: *usr, sup: sup}
-		totalRate += sup.Rate()
+		st := e.newUserState(u)
+		st.usr = users[u]
+		totalRate += st.start()
+		e.nextT[u], e.nextCover[u] = st.advance()
 	}
 	return e, e.finishInit(totalRate)
 }
 
 // NewLazyEngine assembles an engine over n users materialized on demand.
 // Construction makes one pass over the population (in parallel shards)
-// that reads only each user's arrival sources: one Next per source
-// yields the user's compact frontier — first arrival time and origin —
-// and the aggregate rate that sizes generation slabs. No user is built
-// and no recipient profile is drawn. A user's full state comes from the
-// builder the first time it sends, and a failing or inconsistent build
-// surfaces then, as an error from NextRound or the disclosure run; users
-// that never send within the observed horizon never hold source state
-// at all, which is what keeps million-user populations cheap to set up
-// and resident-memory-cheap.
+// that reads only each user's Frontier: its first gaps give the user's
+// compact frontier — first arrival time and origin — and the rates sum
+// to the aggregate that sizes generation slabs. No user is built, no
+// recipient profile is drawn and nothing is allocated per user. A
+// user's full state comes from the builder the first time it sends, and
+// a failing or inconsistent build surfaces then, as an error from
+// NextRound or the disclosure run; users that never send within the
+// observed horizon never hold source state at all, which is what keeps
+// million-user populations cheap to set up and resident-memory-cheap.
 func NewLazyEngine(n, recipients int, arrivals Arrivals, build Builder) (*Engine, error) {
 	return newLazyEngine(n, recipients, defaultShardSize, arrivals, build)
 }
@@ -329,35 +422,21 @@ func newLazyEngine(n, recipients, shardSize int, arrivals Arrivals, build Builde
 	}
 	e.build = build
 	// Init pass: one parallel sweep over the shards records every user's
-	// frontier exactly as the user's Superpose would — the earlier of the
-	// two first arrivals, ties to the message source, at gap t − 0 = t —
-	// and its rate summed in component order, as Superpose.Rate does.
+	// frontier exactly as its warm merge cursor will — the earlier of the
+	// two first arrivals, ties to the message source, at gap t − 0 = t.
 	// Per-shard rate partials summed in shard order keep the
 	// aggregate-rate float identical at any worker count.
-	nshards := e.numShards()
-	partial := make([]float64, nshards)
-	err = par.MapWorker(nshards, 0, func(_, sh int) error {
+	partial := make([]float64, len(e.shards))
+	err = par.MapWorker(len(e.shards), 0, func(_, sh int) error {
 		lo, hi := e.shardRange(sh)
 		var rate float64
 		for u := lo; u < hi; u++ {
-			msgs, cover, err := arrivals(u)
+			f, err := arrivals(u)
 			if err != nil {
 				return fmt.Errorf("population: user %d arrivals: %w", u, err)
 			}
-			if msgs == nil {
-				return fmt.Errorf("population: user %d missing sources", u)
-			}
-			t, r := msgs.Next(), msgs.Rate()
-			fromCover := false
-			if cover != nil {
-				if tc := cover.Next(); tc < t {
-					t, fromCover = tc, true
-				}
-				r += cover.Rate()
-			}
-			e.nextT[u] = t
-			e.nextCover[u] = fromCover
-			rate += r
+			e.nextT[u], e.nextCover[u] = earlier(f.Msg, f.Cover)
+			rate += f.Rate
 		}
 		partial[sh] = rate
 		return nil
@@ -390,6 +469,7 @@ func newEngine(n, recipients, shardSize int) (*Engine, error) {
 		nextCover: make([]bool, n),
 		warm:      make([]*userState, n),
 		shardSize: shardSize,
+		shards:    make([]shard, (n+shardSize-1)/shardSize),
 		probe:     obs.NewShard(),
 	}, nil
 }
@@ -419,20 +499,6 @@ func validateUser(usr *User, u, recipients int) error {
 	return nil
 }
 
-// superposeUser merges a user's payload and cover sources.
-func superposeUser(usr *User) (*traffic.Superpose, error) {
-	srcs := []traffic.Source{usr.Messages}
-	if usr.Cover != nil {
-		srcs = append(srcs, usr.Cover)
-	}
-	return traffic.NewSuperpose(srcs...)
-}
-
-// numShards returns the shard count of the fixed user partition.
-func (e *Engine) numShards() int {
-	return (e.n + e.shardSize - 1) / e.shardSize
-}
-
 // shardRange returns shard sh's half-open user range.
 func (e *Engine) shardRange(sh int) (lo, hi int) {
 	lo = sh * e.shardSize
@@ -443,10 +509,27 @@ func (e *Engine) shardRange(sh int) (lo, hi int) {
 	return lo, hi
 }
 
+// newUserState carves user u's state from its shard's chunk and marks
+// the user warm. Only u's shard generation (or the engine's caller
+// between rounds) warms u's shard's users, so the carving is race-free.
+func (e *Engine) newUserState(u int) *userState {
+	sh := u / e.shardSize
+	s := &e.shards[sh]
+	if len(s.states) == cap(s.states) {
+		lo, hi := e.shardRange(sh)
+		s.states = make([]userState, 0, min(stateChunk, hi-lo-s.warm))
+	}
+	s.states = s.states[:len(s.states)+1]
+	s.warm++
+	st := &s.states[len(s.states)-1]
+	e.warm[u] = st
+	return st
+}
+
 // warmUp materializes user u: the pure builder creates its source
-// stack and the superpose replays the one frontier draw construction
-// read, so the fresh cursor lands exactly on the recorded frontier (a
-// cold user's frontier never moves). Warm users stay warm.
+// stack and the merge cursor replays the one frontier draw construction
+// recorded, so the fresh cursor lands exactly on the recorded frontier
+// (a cold user's frontier never moves). Warm users stay warm.
 func (e *Engine) warmUp(u int) (*userState, error) {
 	if st := e.warm[u]; st != nil {
 		return st, nil
@@ -461,19 +544,17 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	if err := validateUser(&usr, u, e.nrcpt); err != nil {
 		return nil, err
 	}
-	sup, err := superposeUser(&usr)
-	if err != nil {
-		return nil, err
-	}
+	fresh := userState{usr: usr}
+	fresh.start()
 	// Replay the frontier draw: the init pass read one arrival to record
 	// (nextT, nextCover); re-consuming it aligns the fresh stream with
 	// the stored frontier. A mismatch means the builder and the arrivals
 	// function disagree, and the run would silently diverge.
-	if gap, src := sup.NextFrom(); gap != e.nextT[u] || (src == 1) != e.nextCover[u] {
+	if gap, cover := fresh.advance(); gap != e.nextT[u] || cover != e.nextCover[u] {
 		return nil, fmt.Errorf("population: built user %d does not replay its recorded first arrival", u)
 	}
-	st := &userState{usr: usr, sup: sup}
-	e.warm[u] = st
+	st := e.newUserState(u)
+	*st = fresh
 	return st, nil
 }
 
@@ -487,10 +568,8 @@ func (e *Engine) Recipients() int { return e.nrcpt }
 // resident-memory-relevant population, as opposed to Users().
 func (e *Engine) WarmUsers() int {
 	w := 0
-	for _, st := range e.warm {
-		if st != nil {
-			w++
-		}
+	for i := range e.shards {
+		w += e.shards[i].warm
 	}
 	return w
 }
@@ -552,9 +631,6 @@ func (e *Engine) SetProbe(p *obs.Shard) {
 // (time, user) — is identical at any worker count and identical to the
 // previous concat-and-global-sort merge.
 func (e *Engine) refill() error {
-	if e.shards == nil {
-		e.shards = make([]shard, e.numShards())
-	}
 	e.slabEnd += e.slabLen
 	err := par.MapWorker(len(e.shards), e.workers, func(_, sh int) error {
 		return e.genShard(sh)
@@ -602,9 +678,9 @@ func (e *Engine) genShard(sh int) error {
 			if usr.Presence == nil || usr.Presence.UpAt(e.nextT[u]) {
 				s.buf = append(s.buf, event{t: e.nextT[u], user: int32(u), rcpt: rcpt, dummy: e.nextCover[u]})
 			}
-			gap, src := st.sup.NextFrom()
+			gap, cover := st.advance()
 			e.nextT[u] += gap
-			e.nextCover[u] = src == 1
+			e.nextCover[u] = cover
 		}
 		if len(s.buf) > n0 {
 			s.active++

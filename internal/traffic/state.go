@@ -61,21 +61,7 @@ func Snapshot(s Source) (SourceState, error) {
 		in := src.inTrain
 		return SourceState{Kind: "train", RNG: &st, InTrain: &in}, nil
 	case *Superpose:
-		now := src.now
-		out := SourceState{
-			Kind: "superpose",
-			Next: append([]float64(nil), src.next...),
-			Now:  &now,
-			Sub:  make([]SourceState, len(src.srcs)),
-		}
-		for i, sub := range src.srcs {
-			st, err := Snapshot(sub)
-			if err != nil {
-				return SourceState{}, fmt.Errorf("traffic: superpose component %d: %w", i, err)
-			}
-			out.Sub[i] = st
-		}
-		return out, nil
+		return MergeState(src.srcs, src.next, src.now)
 	case *Gated:
 		now, last := src.now, src.lastEmit
 		sub, err := Snapshot(src.src)
@@ -130,20 +116,11 @@ func Restore(s Source, st SourceState) error {
 		src.inTrain = *st.InTrain
 		return nil
 	case *Superpose:
-		if st.Kind != "superpose" || st.Now == nil {
-			return fmt.Errorf("traffic: state %q does not fit a Superpose source", st.Kind)
+		now, err := RestoreMerge(src.srcs, src.next, st)
+		if err != nil {
+			return err
 		}
-		if len(st.Next) != len(src.srcs) || len(st.Sub) != len(src.srcs) {
-			return fmt.Errorf("traffic: superpose state spans %d/%d components, source has %d",
-				len(st.Next), len(st.Sub), len(src.srcs))
-		}
-		for i, sub := range src.srcs {
-			if err := Restore(sub, st.Sub[i]); err != nil {
-				return fmt.Errorf("traffic: superpose component %d: %w", i, err)
-			}
-		}
-		copy(src.next, st.Next)
-		src.now = *st.Now
+		src.now = now
 		// The restored component times invalidate the merge heap's order.
 		src.buildHeap()
 		return nil
@@ -160,4 +137,46 @@ func Restore(s Source, st SourceState) error {
 	default:
 		return fmt.Errorf("traffic: cannot restore source type %T", s)
 	}
+}
+
+// MergeState captures a time-ordered merge of srcs in the "superpose"
+// form Snapshot emits for a *Superpose: next holds each component's
+// absolute next-arrival time and now is the merge clock. A caller that
+// runs the Superpose merge inline (the population engine) snapshots
+// through it, so its checkpoints stay interchangeable with a Superpose's.
+func MergeState(srcs []Source, next []float64, now float64) (SourceState, error) {
+	out := SourceState{
+		Kind: "superpose",
+		Next: append([]float64(nil), next...),
+		Now:  &now,
+		Sub:  make([]SourceState, len(srcs)),
+	}
+	for i, sub := range srcs {
+		st, err := Snapshot(sub)
+		if err != nil {
+			return SourceState{}, fmt.Errorf("traffic: superpose component %d: %w", i, err)
+		}
+		out.Sub[i] = st
+	}
+	return out, nil
+}
+
+// RestoreMerge applies a "superpose" state to an inline merge of srcs:
+// it restores every component, copies the per-component next-arrival
+// times into next (one per source) and returns the merge clock.
+func RestoreMerge(srcs []Source, next []float64, st SourceState) (now float64, err error) {
+	if st.Kind != "superpose" || st.Now == nil {
+		return 0, fmt.Errorf("traffic: state %q does not fit a Superpose source", st.Kind)
+	}
+	if len(st.Next) != len(srcs) || len(st.Sub) != len(srcs) {
+		return 0, fmt.Errorf("traffic: superpose state spans %d/%d components, source has %d",
+			len(st.Next), len(st.Sub), len(srcs))
+	}
+	for i, sub := range srcs {
+		if err := Restore(sub, st.Sub[i]); err != nil {
+			return 0, fmt.Errorf("traffic: superpose component %d: %w", i, err)
+		}
+	}
+	copy(next, st.Next)
+	return *st.Now, nil
 }

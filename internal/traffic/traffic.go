@@ -48,13 +48,24 @@ type Poisson struct {
 // NewPoisson creates a Poisson source with the given rate (> 0) in
 // packets/second.
 func NewPoisson(rate float64, rng *xrand.Rand) (*Poisson, error) {
+	p, err := makePoisson(rate, rng)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// makePoisson validates the parameters and returns the source by value
+// (NewPoisson and Model.First share it; the latter keeps it on the
+// stack).
+func makePoisson(rate float64, rng *xrand.Rand) (Poisson, error) {
 	if !(rate > 0) {
-		return nil, errors.New("traffic: Poisson rate must be positive")
+		return Poisson{}, errors.New("traffic: Poisson rate must be positive")
 	}
 	if rng == nil {
-		return nil, errors.New("traffic: nil rng")
+		return Poisson{}, errors.New("traffic: nil rng")
 	}
-	return &Poisson{rate: rate, rng: rng}, nil
+	return Poisson{rate: rate, rng: rng}, nil
 }
 
 // Next returns an exponential gap with mean 1/rate.
@@ -75,19 +86,28 @@ type CBR struct {
 // NewCBR creates a CBR source with the given rate (> 0) and jitter
 // half-range >= 0. A nil rng is allowed when jitter is zero.
 func NewCBR(rate, jitter float64, rng *xrand.Rand) (*CBR, error) {
+	c, err := makeCBR(rate, jitter, rng)
+	if err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// makeCBR validates the parameters and returns the source by value.
+func makeCBR(rate, jitter float64, rng *xrand.Rand) (CBR, error) {
 	if !(rate > 0) {
-		return nil, errors.New("traffic: CBR rate must be positive")
+		return CBR{}, errors.New("traffic: CBR rate must be positive")
 	}
 	if jitter < 0 {
-		return nil, errors.New("traffic: CBR jitter must be non-negative")
+		return CBR{}, errors.New("traffic: CBR jitter must be non-negative")
 	}
 	if jitter >= 1/rate {
-		return nil, errors.New("traffic: CBR jitter must be smaller than the interval")
+		return CBR{}, errors.New("traffic: CBR jitter must be smaller than the interval")
 	}
 	if jitter > 0 && rng == nil {
-		return nil, errors.New("traffic: nil rng with non-zero jitter")
+		return CBR{}, errors.New("traffic: nil rng with non-zero jitter")
 	}
-	return &CBR{interval: 1 / rate, jitter: jitter, rng: rng}, nil
+	return CBR{interval: 1 / rate, jitter: jitter, rng: rng}, nil
 }
 
 // Next returns the next gap.
@@ -118,15 +138,24 @@ type OnOff struct {
 // NewOnOff creates an on-off source. peakRate, meanOn and meanOff must be
 // positive. The process starts in the ON state.
 func NewOnOff(peakRate, meanOn, meanOff float64, rng *xrand.Rand) (*OnOff, error) {
+	s, err := makeOnOff(peakRate, meanOn, meanOff, rng)
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// makeOnOff validates the parameters and returns the source by value,
+// having drawn its first ON holding time.
+func makeOnOff(peakRate, meanOn, meanOff float64, rng *xrand.Rand) (OnOff, error) {
 	if !(peakRate > 0) || !(meanOn > 0) || !(meanOff > 0) {
-		return nil, errors.New("traffic: OnOff parameters must be positive")
+		return OnOff{}, errors.New("traffic: OnOff parameters must be positive")
 	}
 	if rng == nil {
-		return nil, errors.New("traffic: nil rng")
+		return OnOff{}, errors.New("traffic: nil rng")
 	}
-	s := &OnOff{peakRate: peakRate, meanOn: meanOn, meanOff: meanOff, rng: rng, on: true}
-	s.stateLeft = rng.Exp(meanOn)
-	return s, nil
+	return OnOff{peakRate: peakRate, meanOn: meanOn, meanOff: meanOff, rng: rng,
+		on: true, stateLeft: rng.Exp(meanOn)}, nil
 }
 
 // Next returns the gap until the next arrival, crossing silent OFF
@@ -212,10 +241,12 @@ func (t *Train) Rate() float64 { return t.trainRate / (1 - t.pContinue) }
 // Superpose merges several arrival processes into one: the output stream
 // contains every component's arrivals in time order, as if the sources
 // shared one wire. NextFrom additionally reports which component produced
-// each arrival, which is what the population engine uses to carry a
-// per-message label (real payload vs cover dummy) through the merged
-// stream — the merge is part of the model, the label is ground truth the
-// adversary does not see.
+// each arrival: the per-message label (real payload vs cover dummy) a
+// population carries through its merged stream — the merge is part of
+// the model, the label is ground truth the adversary does not see. The
+// population engine runs the two-way case inline with the same float
+// operations and tie rule, and snapshots it in Superpose's state form
+// (MergeState); Superpose is its test oracle.
 //
 // Like every Source, a Superpose is a stateful continuous stream: each
 // component's clock advances independently and the merge order is a pure
@@ -234,8 +265,8 @@ type Superpose struct {
 }
 
 // superposeLinearMax is the component count up to which the linear
-// min-scan beats the heap (measured in BenchmarkSuperpose; the population
-// engine's per-user merges sit at k=2, the paper's ablations below 8).
+// min-scan beats the heap (measured in BenchmarkSuperpose; population
+// flow links merge at k=2, the paper's ablations below 8).
 const superposeLinearMax = 8
 
 // NewSuperpose merges the given sources (at least one, all non-nil).
