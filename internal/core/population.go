@@ -118,8 +118,10 @@ func (s *System) validatePopulation(spec PopulationSpec) error {
 	if !(spec.ContactWeight > 0 && spec.ContactWeight <= 1) {
 		return errors.New("core: population contact weight must be in (0,1]")
 	}
-	if spec.CoverRate < 0 || spec.CoverToPPS < 0 {
-		return errors.New("core: population cover rates must be non-negative")
+	for _, c := range []float64{spec.CoverRate, spec.CoverToPPS} {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return errors.New("core: population cover rates must be finite and non-negative")
+		}
 	}
 	if spec.CoverRate > 0 && spec.CoverToPPS > 0 {
 		return errors.New("core: CoverRate and CoverToPPS are mutually exclusive")
@@ -209,62 +211,47 @@ func (spec PopulationSpec) coverPPS(payload float64) float64 {
 // an optional cover source, and a recipient profile, all derived from
 // (seed, class, userID) role streams in the population domain. The
 // engine materializes users lazily — both functions below are pure in
-// the user index. Construction reads only each user's frontier: the
-// first message and cover gaps and the summed rate, drawn from the same
-// models and stream seeds the builder uses but with the sources held on
-// the stack, so setting up N users allocates nothing per user. The full
-// user is built when the simulation horizon first reaches one of its
-// arrivals.
+// the user index, and both read the user's population.Sources.
+// Construction reads only each user's frontier: the first message and
+// cover gaps and the summed rate, drawn from the models and stream
+// seeds the builder builds from but with the sources held on the stack,
+// so setting up N users allocates nothing per user. The full user is
+// built when the simulation horizon first reaches one of its arrivals.
 func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) {
 	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
 	cum := s.classCum(spec.ClassMix)
-	// models returns user u's class and its payload and cover models; the
-	// cover model's rate is 0 when the user sends no cover. The frontier
-	// and the builder both read it, each model drawing from the user's
-	// role stream of the same name.
-	models := func(u int) (class int, payload, cover traffic.Model, err error) {
-		class = classOf(u, spec.Users, cum)
-		payload, err = s.payloadModel(class)
-		cover = traffic.Model{Kind: traffic.ModelPoisson, Rate: spec.coverPPS(s.cfg.Rates[class].PPS)}
-		return class, payload, cover, err
+	// sources returns user u's class and its payload and cover models on
+	// the user's role streams of the same names; the cover model's rate is
+	// 0 when the user sends no cover. The frontier and the builder both
+	// read it.
+	sources := func(u int) (int, population.Sources, error) {
+		class := classOf(u, spec.Users, cum)
+		payload, err := s.payloadModel(class)
+		return class, population.Sources{
+			Payload:     payload,
+			Cover:       traffic.Model{Kind: traffic.ModelPoisson, Rate: spec.coverPPS(s.cfg.Rates[class].PPS)},
+			PayloadSeed: s.popSeed(class, u, popRolePayload),
+			CoverSeed:   s.popSeed(class, u, popRoleCover),
+		}, err
 	}
 	arrivals := func(u int) (population.Frontier, error) {
-		class, payload, cover, err := models(u)
+		_, src, err := sources(u)
 		if err != nil {
 			return population.Frontier{}, err
 		}
-		f := population.Frontier{Cover: math.Inf(1)}
-		f.Msg, f.Rate, err = payload.First(xrand.New(s.popSeed(class, u, popRolePayload)))
-		if err != nil {
-			return population.Frontier{}, err
-		}
-		if cover.Rate > 0 {
-			var rate float64
-			f.Cover, rate, err = cover.First(xrand.New(s.popSeed(class, u, popRoleCover)))
-			if err != nil {
-				return population.Frontier{}, err
-			}
-			f.Rate += rate
-		}
-		return f, nil
+		return src.Frontier()
 	}
 	build := func(u int) (population.User, error) {
-		class, payloadModel, coverModel, err := models(u)
+		class, src, err := sources(u)
 		if err != nil {
 			return population.User{}, err
 		}
-		payload, err := payloadModel.New(xrand.New(s.popSeed(class, u, popRolePayload)))
+		payload, cover, err := src.Build()
 		if err != nil {
 			return population.User{}, err
-		}
-		var cover traffic.Source
-		if coverModel.Rate > 0 {
-			if cover, err = coverModel.New(xrand.New(s.popSeed(class, u, popRoleCover))); err != nil {
-				return population.User{}, err
-			}
 		}
 		prng := xrand.New(s.popSeed(class, u, popRoleProfile))
 		profile, err := population.NewProfile(spec.Recipients, spec.Contacts, spec.ContactWeight, prng)

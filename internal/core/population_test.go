@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -116,6 +117,10 @@ func TestPopulationSpecValidation(t *testing.T) {
 		{Users: 8, Recipients: 40, Contacts: 30},
 		{Users: 8, Recipients: 40, ContactWeight: 1.5},
 		{Users: 8, Recipients: 40, CoverRate: -1},
+		{Users: 8, Recipients: 40, CoverRate: math.NaN()},
+		{Users: 8, Recipients: 40, CoverRate: math.Inf(1)},
+		{Users: 8, Recipients: 40, CoverToPPS: math.NaN()},
+		{Users: 8, Recipients: 40, CoverRate: math.NaN(), Dummies: population.DummyUniform},
 		{Users: 8, Recipients: 40, CoverRate: 1, CoverToPPS: 100},
 		{Users: 8, Recipients: 40, ClassMix: []float64{1}},
 		{Users: 8, Recipients: 40, ClassMix: []float64{1, 0}},

@@ -16,46 +16,27 @@ import (
 // modelPopulation returns a pure arrivals function and builder shaped
 // like core's populations: two striped Poisson payload classes (10 and
 // 40 pps), cover at coverRate × the payload rate (none at 0), and a
-// 3-contact profile. The frontier is drawn with stack-held generators,
-// so the arrivals function allocates nothing.
+// 3-contact profile. Both read the user's Sources, so the arrivals
+// function allocates nothing.
 func modelPopulation(recipients int, coverRate float64) (Arrivals, Builder) {
-	models := func(u int) (payload, cover traffic.Model) {
+	// sources gives each user three private role streams: payload, cover
+	// and recipient draws.
+	sources := func(u int) Sources {
 		rate := 10 + 30*float64(u%2)
-		return traffic.Model{Kind: traffic.ModelPoisson, Rate: rate},
-			traffic.Model{Kind: traffic.ModelPoisson, Rate: coverRate * rate}
-	}
-	// seed gives each user three private role streams: payload, cover and
-	// recipient draws.
-	seed := func(u, role int) uint64 { return uint64(4*u + role) }
-	arrivals := func(u int) (Frontier, error) {
-		payload, cover := models(u)
-		f := Frontier{Cover: math.Inf(1)}
-		var err error
-		if f.Msg, f.Rate, err = payload.First(xrand.New(seed(u, 0))); err != nil {
-			return Frontier{}, err
+		return Sources{
+			Payload:     traffic.Model{Kind: traffic.ModelPoisson, Rate: rate},
+			Cover:       traffic.Model{Kind: traffic.ModelPoisson, Rate: coverRate * rate},
+			PayloadSeed: uint64(4 * u),
+			CoverSeed:   uint64(4*u + 1),
 		}
-		if cover.Rate > 0 {
-			var rate float64
-			if f.Cover, rate, err = cover.First(xrand.New(seed(u, 1))); err != nil {
-				return Frontier{}, err
-			}
-			f.Rate += rate
-		}
-		return f, nil
 	}
+	arrivals := func(u int) (Frontier, error) { return sources(u).Frontier() }
 	build := func(u int) (User, error) {
-		payload, cover := models(u)
-		msgs, err := payload.New(xrand.New(seed(u, 0)))
+		msgs, cov, err := sources(u).Build()
 		if err != nil {
 			return User{}, err
 		}
-		var cov traffic.Source
-		if cover.Rate > 0 {
-			if cov, err = cover.New(xrand.New(seed(u, 1))); err != nil {
-				return User{}, err
-			}
-		}
-		prng := xrand.New(seed(u, 2))
+		prng := xrand.New(uint64(4*u + 2))
 		prof, err := NewProfile(recipients, 3, 0.7, prng)
 		if err != nil {
 			return User{}, err

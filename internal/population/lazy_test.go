@@ -3,7 +3,6 @@ package population
 import (
 	"encoding/json"
 	"errors"
-	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -71,9 +70,9 @@ func refBuilder(tb testing.TB, recipients int, cover, churn bool) (Arrivals, Bui
 
 // frontierOf reads a frontier off freshly built sources (cov may be nil).
 func frontierOf(msgs, cov traffic.Source) Frontier {
-	f := Frontier{Msg: msgs.Next(), Cover: math.Inf(1), Rate: msgs.Rate()}
+	f := Frontier{Msg: msgs.Next(), Rate: msgs.Rate()}
 	if cov != nil {
-		f.Cover = cov.Next()
+		f.Cover, f.HasCover = cov.Next(), true
 		f.Rate += cov.Rate()
 	}
 	return f

@@ -251,3 +251,43 @@ func TestWarmUserCheckpointForm(t *testing.T) {
 		}
 	}
 }
+
+// TestSourcesFrontierMatchesBuild: a Sources' frontier is what its built
+// sources start with — the first gaps bit for bit and the rate summed in
+// component order — for random models of every kind, with and without
+// cover; a cover rate of 0 builds no cover source and leaves the zero
+// Cover and HasCover, and an invalid cover rate is an error, not a
+// user without cover.
+func TestSourcesFrontierMatchesBuild(t *testing.T) {
+	gen := xrand.New(16)
+	for trial := 0; trial < 200; trial++ {
+		src := Sources{Payload: randomModel(gen), PayloadSeed: gen.Uint64(), CoverSeed: gen.Uint64()}
+		if gen.Intn(4) > 0 {
+			src.Cover = randomModel(gen)
+		}
+		f, err := src.Frontier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, cov, err := src.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (cov != nil) != (src.Cover.Rate != 0) {
+			t.Fatalf("trial %d: cover model rate %v built cover %v", trial, src.Cover.Rate, cov)
+		}
+		if want := frontierOf(msgs, cov); f != want {
+			t.Fatalf("trial %d: frontier %+v, built sources start with %+v", trial, f, want)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), -1} {
+		src := Sources{Payload: traffic.Model{Kind: traffic.ModelPoisson, Rate: 1},
+			Cover: traffic.Model{Kind: traffic.ModelPoisson, Rate: rate}}
+		if _, err := src.Frontier(); err == nil {
+			t.Errorf("cover rate %v: Frontier accepted it", rate)
+		}
+		if _, _, err := src.Build(); err == nil {
+			t.Errorf("cover rate %v: Build accepted it", rate)
+		}
+	}
+}

@@ -188,16 +188,53 @@ type User struct {
 type Builder func(u int) (User, error)
 
 // Frontier is a user's start as plain numbers: what one Next and Rate
-// on each of its freshly built sources would return.
+// on each of its freshly built sources would return. The zero Cover and
+// HasCover describe a user without cover.
 type Frontier struct {
 	// Msg is the first gap of the user's message source.
 	Msg float64
-	// Cover is the first gap of the user's cover source; +Inf when the
-	// user sends no cover.
+	// Cover is the first gap of the user's cover source, read only when
+	// HasCover is set.
 	Cover float64
+	// HasCover reports whether the user sends cover.
+	HasCover bool
 	// Rate is the message source's rate plus the cover source's, summed
 	// in that order.
 	Rate float64
+}
+
+// Sources describes a user's message and cover sources as arrival
+// models, each on the generator seeded by its own seed; a cover model of
+// rate 0 means the user sends no cover. An Arrivals function and a
+// Builder that both read a user's Sources agree by construction:
+// Frontier draws what Build's fresh sources would start with.
+type Sources struct {
+	Payload, Cover         traffic.Model
+	PayloadSeed, CoverSeed uint64
+}
+
+// Frontier returns the sources' frontier. The sources and their
+// generators stay on the stack, so it allocates nothing.
+func (s Sources) Frontier() (Frontier, error) {
+	var f Frontier
+	var err error
+	if f.Msg, f.Rate, err = s.Payload.First(xrand.New(s.PayloadSeed)); err != nil || s.Cover.Rate == 0 {
+		return f, err
+	}
+	var rate float64
+	f.Cover, rate, err = s.Cover.First(xrand.New(s.CoverSeed))
+	f.HasCover, f.Rate = true, f.Rate+rate
+	return f, err
+}
+
+// Build returns the fresh message source and the cover source (nil
+// without cover).
+func (s Sources) Build() (msgs, cover traffic.Source, err error) {
+	if msgs, err = s.Payload.New(xrand.New(s.PayloadSeed)); err != nil || s.Cover.Rate == 0 {
+		return msgs, nil, err
+	}
+	cover, err = s.Cover.New(xrand.New(s.CoverSeed))
+	return msgs, cover, err
 }
 
 // Arrivals returns user u's frontier. It must be pure, and it must
@@ -362,11 +399,8 @@ const targetSlabEvents = 4096
 
 // defaultShardSize is the user count per generation shard: small enough
 // that a shard's frontier slice and slab buffer stay cache-resident,
-// large enough that the per-shard fan-out overhead amortizes. At the
-// million-user geometry 8192 measured ~10% faster per run than 1024,
-// with less memory (BenchmarkEngineNextRound and perfbench
-// sda-million-ls; DESIGN.md, "Population at scale").
-const defaultShardSize = 8192
+// large enough that the per-shard fan-out overhead amortizes.
+const defaultShardSize = 1024
 
 // stateChunk is how many userStates a shard allocates at a time (fewer
 // when fewer of its users are still cold).
@@ -435,7 +469,11 @@ func newLazyEngine(n, recipients, shardSize int, arrivals Arrivals, build Builde
 			if err != nil {
 				return fmt.Errorf("population: user %d arrivals: %w", u, err)
 			}
-			e.nextT[u], e.nextCover[u] = earlier(f.Msg, f.Cover)
+			coverT := math.Inf(1)
+			if f.HasCover {
+				coverT = f.Cover
+			}
+			e.nextT[u], e.nextCover[u] = earlier(f.Msg, coverT)
 			rate += f.Rate
 		}
 		partial[sh] = rate
