@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-compare bench-gate \
-	profile staticcheck docs golden golden-check resume-check scale-smoke \
-	report ci clean
+.PHONY: all build vet fmt-check test race bench bench-json bench-compare \
+	bench-gate profile staticcheck docs golden golden-check resume-check \
+	scale-smoke report ci clean
 
 all: vet build test
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when gofmt would rewrite any file (the CI build job's gofmt step).
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "gofmt would rewrite:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -137,7 +142,7 @@ scale:
 	$(GO) run ./cmd/linkpadsim -exp scale-sda-ls -scale 1 -seed 3 -max-rss-mb 2048
 
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet build test race staticcheck docs golden-check resume-check scale-smoke
+ci: vet fmt-check build test race staticcheck docs golden-check resume-check scale-smoke
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof

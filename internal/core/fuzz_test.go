@@ -30,7 +30,7 @@ func FuzzDisclosureSpecBuild(f *testing.F) {
 			batch, mixKind, retainMilli, periodMilli, mixSeed,
 			estimator, maxRounds, checkEvery, consecutive, workers, targets)
 	}
-	add(24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, nil)              // default threshold/classic/none
+	add(24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, nil)             // default threshold/classic/none
 	add(24, 60, 3, 1000, 1, 8, 1, 500, 0, 7, 1, 400, 25, 2, 0, nil)        // pool/ls/uniform with cover
 	add(24, 60, 3, 1000, 2, 8, 2, 0, 250, 0, 2, 400, 25, 2, 2, nil)        // timed/ml/adaptive
 	add(24, 60, 3, 0, 1, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, nil)             // uniform dummies without cover: invalid
@@ -44,7 +44,7 @@ func FuzzDisclosureSpecBuild(f *testing.F) {
 	add(24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, []byte{3, 3})    // duplicate targets
 	add(24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, []byte{200})     // target out of range
 	add(-5, -5, -1, -1, 0, -8, 0, 0, 0, 0, 0, -1, -1, -1, -1, []byte{255}) // everything negative
-	add(1 << 40, 60, 3, 0, 0, 8, 0, 0, 0, ^uint64(0), 0, 1 << 50, 1, 1, 1, nil)
+	add(1<<40, 60, 3, 0, 0, 8, 0, 0, 0, ^uint64(0), 0, 1<<50, 1, 1, 1, nil)
 
 	sys, err := NewSystem(DefaultLabConfig())
 	if err != nil {

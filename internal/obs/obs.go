@@ -84,6 +84,11 @@ const (
 	// to a generation slab (under churn this tracks the online
 	// sub-population).
 	PopulationActiveUser
+	// PopulationMLRefresh counts ML disclosure-estimate refreshes (one
+	// per ready() call that follows an observe).
+	PopulationMLRefresh
+	// PopulationEMSweep counts the EM sweeps those refreshes ran.
+	PopulationEMSweep
 	// AdvWindow counts feature windows the adversary extracted.
 	AdvWindow
 	// AdvSlab counts PIAT slabs the adversary pulled through the
@@ -114,6 +119,8 @@ var counterNames = [NumCounters]string{
 	"population_round",
 	"population_message",
 	"population_active_user",
+	"population_ml_refresh",
+	"population_em_sweep",
 	"adv_window",
 	"adv_slab",
 	"experiment_cell",

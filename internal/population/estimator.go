@@ -3,7 +3,10 @@ package population
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+
+	"linkpad/internal/obs"
 )
 
 // Disclosure estimators (estimator.go): the attack side of the SDA arms
@@ -34,7 +37,8 @@ import (
 // largest recipient space any runner uses is 10^4, so one array per
 // accumulator costs at most 80 KB a target): the classic conditional
 // sums, the least-squares right-hand sides, and the ML estimate with
-// its M-step scratch. A delivery is one array update, with no search.
+// its M-step scratch and initial counts. A delivery is one array
+// update, with no search.
 // Only the ML estimator's per-(a, n) egress counts stay sparse
 // (sparse.go), since they multiply with the number of distinct keys.
 // All three expose the same contract to the shared disclosure harness:
@@ -367,12 +371,13 @@ type mlGroup struct {
 // mlEstimator is the iterative ML (EM) estimator for the round mixture
 // model. The grouped statistics cost O(distinct (a, n) keys × observed
 // support); the target estimate p, the background q it is jointly
-// fitted with, and their M-step scratch are dense arrays indexed by
-// recipient, sized once from the recipient count, so a refresh reads
-// and writes coordinates directly. The estimate is recomputed by the
-// first ready() after an observe: once per checkpoint without dummies,
-// but about once per round per target under adaptive dummies, whose
-// suspects() reads it every round (DESIGN.md has the cost model).
+// fitted with, their M-step scratch and the two initial counts are
+// dense arrays indexed by recipient, sized once from the recipient
+// count, so a refresh reads and writes coordinates directly. The
+// estimate is recomputed by the first ready() after an observe: once
+// per checkpoint without dummies, but about once per round per target
+// under adaptive dummies, whose suspects() reads it every round
+// (DESIGN.md has the cost model).
 type mlEstimator struct {
 	groups   []mlGroup // ascending by (a, n)
 	nWith    int
@@ -381,15 +386,21 @@ type mlEstimator struct {
 	sup      []int32   // ascending recipients with a positive initial p
 	p, q     []float64 // target and background estimates by recipient
 	tp, tq   []float64 // M-step scratch by recipient
+	// yWith and yWithout count deliveries by recipient in the rounds
+	// with a > 0 and a = 0: derived from the groups (restore rebuilds
+	// them), kept by observe so a refresh need not re-sum the groups.
+	yWith, yWithout []float64
 }
 
 // newMLEstimator sizes the dense estimate arrays for nrcpt recipients.
 func newMLEstimator(nrcpt int) *mlEstimator {
 	return &mlEstimator{
-		p:  make([]float64, nrcpt),
-		q:  make([]float64, nrcpt),
-		tp: make([]float64, nrcpt),
-		tq: make([]float64, nrcpt),
+		p:        make([]float64, nrcpt),
+		q:        make([]float64, nrcpt),
+		tp:       make([]float64, nrcpt),
+		tq:       make([]float64, nrcpt),
+		yWith:    make([]float64, nrcpt),
+		yWithout: make([]float64, nrcpt),
 	}
 }
 
@@ -408,11 +419,22 @@ func (m *mlEstimator) group(a, n int32) *mlGroup {
 	return &m.groups[lo]
 }
 
+// counts returns the initial count array a group with send count a
+// adds its deliveries to.
+func (m *mlEstimator) counts(a int32) []float64 {
+	if a > 0 {
+		return m.yWith
+	}
+	return m.yWithout
+}
+
 func (m *mlEstimator) observe(r *Round, sent bool, cnt int) {
 	g := m.group(int32(cnt), int32(len(r.Rcpts)))
 	g.c++
+	y := m.counts(g.a)
 	for _, rc := range r.Rcpts {
 		g.y.add(rc, 1)
+		y[rc]++
 	}
 	if sent {
 		m.nWith++
@@ -445,18 +467,19 @@ func (m *mlEstimator) ready() bool {
 // groups in (a, n) order and entries in ascending recipient order, and
 // every coordinate outside a support holds exactly +0, which adds
 // nothing to the M-step sums.
+//
+// The a = 0 groups lead that order and are not swept. In them w is
+// exactly +0 (a·p[r] = +0 over a positive b·q[r]: q stays positive on
+// their support in every sweep, since they add their own counts to
+// tq), so they add +0 to tp and their integer counts y to tq, which
+// leaves tq at yWithout before the first a > 0 group. Each sweep
+// starts tq there instead; the integer sums are exact in any order.
 func (m *mlEstimator) refresh() {
+	obs.Count(obs.PopulationMLRefresh, 1)
 	p, q, tp, tq := m.p, m.q, m.tp, m.tq
-	clear(p)
-	clear(q)
-	for gi := range m.groups {
-		g := &m.groups[gi]
-		for k, r := range g.y.idx {
-			q[r] += g.y.val[k]
-			if g.a > 0 {
-				p[r] += g.y.val[k]
-			}
-		}
+	for r, c := range m.yWith {
+		p[r] = c
+		q[r] = m.yWithout[r] + c
 	}
 	m.sup = nonzeroSupport(m.sup, p)
 	normalize(p)
@@ -464,27 +487,39 @@ func (m *mlEstimator) refresh() {
 	if len(m.sup) == 0 {
 		return
 	}
+	obs.Count(obs.PopulationEMSweep, mlEMIters)
+	lead := sort.Search(len(m.groups), func(i int) bool { return m.groups[i].a > 0 })
+	swept := m.groups[lead:]
 	for iter := 0; iter < mlEMIters; iter++ {
 		clear(tp)
-		clear(tq)
-		for gi := range m.groups {
-			g := &m.groups[gi]
-			a, b := float64(g.a), float64(g.n-g.a)
-			for k, r := range g.y.idx {
-				y := g.y.val[k]
-				den := a*p[r] + b*q[r]
-				if den <= 0 {
-					continue
-				}
-				// E-step: expected target-origin mass of the y deliveries.
-				w := a * p[r] / den
-				tp[r] += y * w
-				tq[r] += y * (1 - w)
-			}
+		copy(tq, m.yWithout)
+		for gi := range swept {
+			g := &swept[gi]
+			emStep(float64(g.a), float64(g.n-g.a), g.y.idx, g.y.val, p, q, tp, tq)
 		}
 		// M-step: renormalize both components.
 		rescaleInto(p, tp)
 		rescaleInto(q, tq)
+	}
+}
+
+// emStep is one group's E-step: it adds the expected target-origin
+// mass of the group's y[r] deliveries to tp[r] and the rest to tq[r].
+// The re-sliced locals let one bounds check on p[r] cover all four
+// arrays.
+func emStep(a, b float64, idx []int32, val, p, q, tp, tq []float64) {
+	val = val[:len(idx)]
+	q, tp, tq = q[:len(p)], tp[:len(p)], tq[:len(p)]
+	for k, r := range idx {
+		ap := a * p[r]
+		den := ap + b*q[r]
+		if den <= 0 {
+			continue
+		}
+		w := ap / den
+		y := val[k]
+		tp[r] += y * w
+		tq[r] += y * (1 - w)
 	}
 }
 
@@ -519,6 +554,8 @@ func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 		return errors.New("population: snapshot has negative round counts")
 	}
 	m.groups = m.groups[:0]
+	clear(m.yWith)
+	clear(m.yWithout)
 	for gi := range ts.ML.Groups {
 		gs := &ts.ML.Groups[gi]
 		if gs.A < 0 || gs.N < 1 || gs.A > gs.N || gs.C < 1 {
@@ -534,9 +571,21 @@ func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 		if err := gs.Y.validate(fmt.Sprintf("ml group %d", gi), nrcpt); err != nil {
 			return err
 		}
+		// Live groups hold delivery counts; the refresh's exactness
+		// (integer sums in any order, q > 0 on the a = 0 support) rests
+		// on that.
+		for _, x := range gs.Y.Val {
+			if !(x >= 1 && x <= 1<<53 && x == math.Trunc(x)) {
+				return fmt.Errorf("population: snapshot ML group %d holds non-count %v", gi, x)
+			}
+		}
 		g := mlGroup{a: gs.A, n: gs.N, c: gs.C}
 		g.y.setPairs(gs.Y.Idx, gs.Y.Val)
 		m.groups = append(m.groups, g)
+		y := m.counts(g.a)
+		for k, r := range g.y.idx {
+			y[r] += g.y.val[k]
+		}
 	}
 	m.nWith = ts.NWith
 	m.nWithout = ts.NWithout

@@ -105,22 +105,30 @@ func benchObserve(b *testing.B, k EstimatorKind, nrcpt int, recs []recordedRound
 // estimate after an observe: ready() (for ML the full 12-sweep EM
 // refresh, forced by marking the statistics dirty) followed by one read
 // of every support coordinate, as suspects() and anonymity() do.
+// ml-adaptive refreshes the eight targets' end-of-run states of the
+// adaptive-dummy pool-mix run (estimator_ref_test.go) in turn: the
+// workload's own geometry, whose variable n spreads the statistics over
+// several times as many (a, n) groups as the threshold-mix stream. The
+// ML cases also report ns/update, the time per E-step update the
+// model defines (mlEMIters × Σ nnz(y) over every group, the a = 0
+// groups included, so the unit does not depend on how refresh settles
+// them).
 func BenchmarkEstimatorRefresh(b *testing.B) {
 	recs := benchStream(b)
 	for _, k := range benchKinds {
 		b.Run(k.String(), func(b *testing.B) {
 			est := feedEstimator(k, benchRcpts, recs)
-			ml, _ := est.(*mlEstimator)
-			if !est.ready() { // first refresh sizes the support buffer
+			if ml, ok := est.(*mlEstimator); ok {
+				benchMLRefresh(b, []*mlEstimator{ml})
+				return
+			}
+			if !est.ready() {
 				b.Fatal("estimator not ready after the warm-up stream")
 			}
 			var sink float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ml != nil {
-					ml.dirty = true
-				}
 				if !est.ready() {
 					b.Fatal("estimator not ready after the warm-up stream")
 				}
@@ -133,4 +141,49 @@ func BenchmarkEstimatorRefresh(b *testing.B) {
 			}
 		})
 	}
+	b.Run("ml-adaptive", func(b *testing.B) {
+		snaps := adaptiveMLSnapshots(b)
+		var ests []*mlEstimator
+		for _, ts := range snaps[len(snaps)-1] {
+			ml := newMLEstimator(adaptiveRcpts)
+			if err := ml.restore(&ts, adaptiveRcpts); err != nil {
+				b.Fatal(err)
+			}
+			ests = append(ests, ml)
+		}
+		benchMLRefresh(b, ests)
+	})
+}
+
+// benchMLRefresh times forced refreshes of ests in turn, each followed
+// by a read of the support, and reports ns/update.
+func benchMLRefresh(b *testing.B, ests []*mlEstimator) {
+	updates := make([]int, len(ests))
+	for i, ml := range ests {
+		if !ml.ready() { // first refresh sizes the support buffer
+			b.Fatal("estimator not ready after the warm-up stream")
+		}
+		for gi := range ml.groups {
+			updates[i] += mlEMIters * ml.groups[gi].y.nnz()
+		}
+	}
+	var sink float64
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(ests)
+		ml := ests[k]
+		ml.dirty = true
+		ml.ready()
+		for _, r := range ml.support() {
+			sink += ml.estimateAt(r)
+		}
+		total += updates[k]
+	}
+	b.StopTimer()
+	if sink < 0 {
+		b.Fatal("negative estimate mass")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/update")
 }

@@ -557,7 +557,9 @@ func requireMLMatchesSparseRef(t *testing.T, est *mlEstimator, nrcpt int, at str
 // float at every p and q coordinate — at checkpoints throughout a run,
 // on engine streams and on seeded synthetic streams, and across a
 // mid-run snapshot/restore, whose continuation must also equal the
-// uninterrupted estimator exactly.
+// uninterrupted estimator exactly. It also refreshes the states an
+// adaptive-dummy pool-mix run snapshots, and a state restored into an
+// estimator whose previous restore failed part-way.
 func TestMLDenseRefreshMatchesSparseReference(t *testing.T) {
 	type geometry struct {
 		name   string
@@ -629,4 +631,103 @@ func TestMLDenseRefreshMatchesSparseReference(t *testing.T) {
 			t.Fatalf("%s: only %d checkpoints had an estimate; the comparison is vacuous", g.name, checks)
 		}
 	}
+
+	// The adaptive-dummy pool-mix geometry, whose variable n spreads a
+	// target's rounds over many more (a, n) groups than the streams
+	// above: every target's state at every snapshot must refresh to
+	// the oracle's floats.
+	snaps := adaptiveMLSnapshots(t)
+	groups, states := 0, 0
+	for si, snap := range snaps {
+		for ti := range snap {
+			ts := &snap[ti]
+			est := newMLEstimator(adaptiveRcpts)
+			if err := est.restore(ts, adaptiveRcpts); err != nil {
+				t.Fatal(err)
+			}
+			if !est.ready() {
+				t.Fatalf("adaptive snapshot %d target %d has no estimate", si, ts.User)
+			}
+			requireMLMatchesSparseRef(t, est, adaptiveRcpts, fmt.Sprintf("adaptive snapshot %d target %d", si, ts.User))
+			groups += len(est.groups)
+			states++
+		}
+	}
+	t.Logf("adaptive geometry: %d target states, %.1f (a, n) groups each", states, float64(groups)/float64(states))
+
+	// A restore that fails on a bad later group has already folded the
+	// earlier groups into the initial counts; the next restore must
+	// rebuild them from nothing.
+	good := &snaps[len(snaps)-1][0]
+	for _, badVal := range []float64{0, -1, 0.5, 2.5, math.NaN(), math.Inf(1), 1 << 54} {
+		bad := *good
+		ml := *good.ML
+		ml.Groups = slices.Clone(ml.Groups)
+		last := &ml.Groups[len(ml.Groups)-1]
+		last.Y.Val = slices.Clone(last.Y.Val)
+		last.Y.Val[len(last.Y.Val)-1] = badVal
+		bad.ML = &ml
+		est := newMLEstimator(adaptiveRcpts)
+		if err := est.restore(&bad, adaptiveRcpts); err == nil {
+			t.Fatalf("restore accepted the ML count %v", badVal)
+		}
+		if err := est.restore(good, adaptiveRcpts); err != nil {
+			t.Fatal(err)
+		}
+		fresh := newMLEstimator(adaptiveRcpts)
+		if err := fresh.restore(good, adaptiveRcpts); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(est.yWith, fresh.yWith) || !slices.Equal(est.yWithout, fresh.yWithout) {
+			t.Fatalf("counts after a failed restore (count %v) differ from a fresh restore's", badVal)
+		}
+		requireMLMatchesSparseRef(t, est, adaptiveRcpts, fmt.Sprintf("restore after a failed one (count %v)", badVal))
+	}
+}
+
+// The adaptive-dummy ML geometry of the sda-ml-adaptive benchmark
+// workload: 24 users with cover, 60 recipients, a pool mix flushing at
+// 48 messages, 200 rounds.
+const (
+	adaptiveUsers   = 24
+	adaptiveRcpts   = 60
+	adaptiveBatch   = 48
+	adaptiveRounds  = 200
+	adaptiveMixSeed = 0x6d6c6164
+)
+
+// adaptiveMLSnapshots runs the adaptive-dummy ML disclosure attack and
+// returns every target's estimator state after each quarter of the
+// rounds (or fewer, should every target be disclosed early); the last
+// entry is the end-of-run state.
+func adaptiveMLSnapshots(tb testing.TB) [][]TargetEstimatorState {
+	tb.Helper()
+	tb.Logf("adaptive geometry: pool mix seed %#x", adaptiveMixSeed)
+	e, err := NewEngine(refUsers(tb, adaptiveUsers, adaptiveRcpts, true, false), adaptiveRcpts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run, err := e.StartDisclosure(DisclosureConfig{
+		Batch:     adaptiveBatch,
+		Mix:       MixSpec{Kind: MixPool, Seed: adaptiveMixSeed},
+		Estimator: EstimatorML,
+		Dummies:   DummyAdaptive,
+		MaxRounds: adaptiveRounds,
+		Workers:   1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var snaps [][]TargetEstimatorState
+	for !run.Done() {
+		if _, err := run.Step(adaptiveRounds / 4); err != nil {
+			tb.Fatal(err)
+		}
+		st, err := run.Snapshot()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		snaps = append(snaps, st.Targets)
+	}
+	return snaps
 }
